@@ -26,7 +26,7 @@ print("=" * 64)
 print("marginal law: counts at t = 1 across 50k paths vs the table")
 print("=" * 64)
 rng = bp.RngStream(31337)
-counts = np.array([bp.count_at(p, 1.0) for p in bp.simulate_paths(params, 1.0, 50_000, rng)])
+counts = bp.simulate_paths(params, 1.0, 50_000, rng).counts_at([1.0])[:, 0]
 table = bp.build_pmf_table(params)
 for k in range(6):
     emp = float((counts == k).mean())

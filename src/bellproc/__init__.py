@@ -35,6 +35,7 @@ from .errors import (
     TailSliverError,
 )
 from .process import (
+    PathEnsemble,
     SamplePath,
     count_at,
     increment,
@@ -75,6 +76,7 @@ __all__ = [
     "JumpLaw",
     "LogStirlingTable",
     "ParameterError",
+    "PathEnsemble",
     "PmfTable",
     "RngStream",
     "SamplePath",

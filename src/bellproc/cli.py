@@ -292,40 +292,46 @@ def _cmd_sample(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     params = dist.validate(cfg.alpha, cfg.theta, cfg.lam)
-    rng = RngStream(cfg.seed)
-    paths = proc.simulate_paths(params, cfg.horizon, cfg.n_paths, rng)
-    marginal_counts = None
+    paths = proc.simulate_paths(params, cfg.horizon, cfg.n_paths, RngStream(cfg.seed))
+    hist = None
     if cfg.marginal is not None:
-        marginal_counts = np.array([proc.count_at(p, cfg.marginal) for p in paths])
+        hist = np.bincount(paths.counts_at([cfg.marginal])[:, 0]).tolist()
+    times, sizes = paths.times.tolist(), paths.sizes.tolist()
     if cfg.output_format == "json":
+        bounds = paths.offsets.tolist()
+        head = {
+            "alpha": params.alpha,
+            "theta": params.theta,
+            "lambda": params.lam,
+            "horizon": cfg.horizon,
+        }
         payload: dict[str, object] = {
             "seed": cfg.seed,
-            "paths": [json.loads(p.to_json()) for p in paths],
+            "paths": [
+                {**head, "times": times[a:b], "sizes": sizes[a:b]}
+                for a, b in zip(bounds, bounds[1:])
+            ],
         }
-        if marginal_counts is not None:
-            hist = np.bincount(marginal_counts)
+        if hist is not None:
             payload["marginal"] = {
                 "t": cfg.marginal,
-                "histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
+                "histogram": {str(k): c for k, c in enumerate(hist) if c},
             }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = []
+        rows = zip(times, sizes, paths.cumulative.tolist())
         if cfg.n_paths == 1:
-            lines.append(paths[0].to_csv().rstrip("\n"))
+            lines = ["time,size,cumulative_count"]
+            lines.extend(f"{t!r},{s},{c}" for t, s, c in rows)
         else:
-            lines.append("path,time,size,cumulative_count")
-            for i, p in enumerate(paths):
-                cum = p.cumulative
-                for j in range(len(p.times)):
-                    lines.append(f"{i},{float(p.times[j])!r},{int(p.sizes[j])},{int(cum[j])}")
-        if marginal_counts is not None:
-            hist = np.bincount(marginal_counts)
+            lines = ["path,time,size,cumulative_count"]
+            lines.extend(
+                f"{i},{t!r},{s},{c}" for i, (t, s, c) in zip(paths.owners.tolist(), rows)
+            )
+        if hist is not None:
             lines.append("")
             lines.append("k,count")
-            for k, c in enumerate(hist):
-                if c:
-                    lines.append(f"{k},{int(c)}")
+            lines.extend(f"{k},{c}" for k, c in enumerate(hist) if c)
         text = "\n".join(lines) + "\n"
     _emit(cfg, text)
     return 0

@@ -1,11 +1,20 @@
 """Continuous-time simulation of the degenerate Bell counting process.
 
 The process is realized constructively as a marked Poisson process:
-burst epochs arrive at rate alpha*(e_lam(theta)-1) and each carries an
-iid positive jump size from the compound decomposition.  The marginal
+burst epochs arrive at rate R = alpha*(e_lam(theta)-1) and each carries
+an iid positive jump size from the compound decomposition.  The marginal
 count at time t then has the counting law with rate parameter alpha*t,
 which the verification battery confirms by goodness of fit rather than
 by derivation.
+
+Paths are simulated by the order-statistics property of the Poisson
+process: given N(T) = k bursts on (0, T], their epochs are k iid
+uniforms on (0, T] in sorted order.  An ensemble of n paths therefore
+takes n Poisson(R*T) burst counts, one batch of uniform epochs sorted
+within each path, and one batch of jump sizes, with no loop over paths
+or bursts.  It is held as ragged columns (:class:`PathEnsemble`) whose
+items are :class:`SamplePath` views; counting and superposition run on
+the columns.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -20,7 +31,7 @@ import numpy as np
 
 from .distribution import DegenParams, JumpLaw, Validity, decompose, validate
 from .errors import IncompatibleParametersError, ParameterError
-from .sampling import RngStream, sample_jump
+from .sampling import RngStream, sample_jump, sample_poisson
 from .special import degenerate_exp, falling_factorial
 
 
@@ -95,46 +106,183 @@ class SamplePath:
         )
 
 
+# Simulations expected to hold more than this many bursts, or asking for
+# more than this many paths, are refused before anything is allocated.
+# Each burst takes about 50 bytes of working memory, and a non-finite
+# horizon would otherwise never finish.
+SIMULATION_BUDGET = 10_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class PathEnsemble(Sequence):
+    """Independent trajectories of one process over [0, T], as columns.
+
+    Path i owns the bursts ``times[offsets[i]:offsets[i+1]]`` with the
+    matching ``sizes``; every path satisfies the :class:`SamplePath`
+    invariants.  Indexing gives a :class:`SamplePath` view of one path,
+    slicing gives a sub-ensemble, and iteration yields the views in
+    order.
+    """
+
+    params: DegenParams
+    horizon: float
+    offsets: np.ndarray
+    times: np.ndarray
+    sizes: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.horizon > 0.0:
+            raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        off, t, s = self.offsets, self.times, self.sizes
+        if len(t) != len(s):
+            raise ParameterError("times and sizes must have equal length")
+        if len(off) < 1 or off[0] != 0 or off[-1] != len(t) or (np.diff(off) < 0).any():
+            raise ParameterError("offsets must rise from 0 to the number of bursts")
+        if len(t) > 0:
+            # a time may fall back only where a new path starts
+            rising = np.diff(t) > 0
+            starts = off[1:-1]
+            rising[starts[(starts > 0) & (starts < len(t))] - 1] = True
+            if not rising.all():
+                raise ParameterError("burst times must be strictly increasing within a path")
+            if t.min() <= 0.0 or t.max() > self.horizon:
+                raise ParameterError("burst times must lie in (0, horizon]")
+            if (s < 1).any():
+                raise ParameterError("burst sizes must be >= 1")
+
+    @classmethod
+    def of(cls, path: SamplePath) -> "PathEnsemble":
+        """The one-path ensemble holding ``path``."""
+        return cls(
+            path.params, path.horizon, np.array([0, len(path.times)]), path.times, path.sizes
+        )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = np.arange(len(self))[index]
+            counts = np.diff(self.offsets)[picked]
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            rows = np.repeat(self.offsets[picked] - offsets[:-1], counts) + np.arange(offsets[-1])
+            return PathEnsemble(
+                self.params, self.horizon, offsets, self.times[rows], self.sizes[rows]
+            )
+        i = range(len(self))[index]  # IndexError past either end, as for a list
+        view = self._views.get(i)
+        if view is None:
+            a, b = self.offsets[i], self.offsets[i + 1]
+            view = SamplePath(self.params, self.horizon, self.times[a:b], self.sizes[a:b])
+            self._views[i] = view
+        return view
+
+    @cached_property
+    def _views(self) -> weakref.WeakValueDictionary:
+        # Indexing gives back a view still in use, as a list gives back the
+        # same item, without keeping every view of a large ensemble alive.
+        return weakref.WeakValueDictionary()
+
+    @cached_property
+    def owners(self) -> np.ndarray:
+        """Path index of each burst."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Running count within its own path at each burst."""
+        running = np.concatenate(([0], np.cumsum(self.sizes)))
+        return running[1:] - running[self.offsets[:-1]][self.owners]
+
+    def counts_at(self, ts) -> np.ndarray:
+        """Counts of every path at every time in ``ts``, as an array of
+        shape (n_paths, len(ts)); :func:`count_at` of each view."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ParameterError("ts must be a one-dimensional sequence of times")
+        if not ((ts >= 0.0) & (ts <= self.horizon)).all():
+            raise ParameterError(f"times must lie in [0, {self.horizon}]")
+        order = np.argsort(ts)
+        m = len(ts)
+        # A burst counts at every grid time at or after its epoch: add its
+        # size at the first such column, then sum along the row.
+        first = np.searchsorted(ts[order], self.times, side="left")
+        jumps = np.bincount(
+            self.owners * (m + 1) + first, weights=self.sizes, minlength=len(self) * (m + 1)
+        )
+        sorted_counts = np.cumsum(
+            jumps.reshape(len(self), m + 1)[:, :m].astype(np.int64), axis=1
+        )
+        counts = np.empty_like(sorted_counts)
+        counts[:, order] = sorted_counts
+        return counts
+
+
 @lru_cache(maxsize=128)
 def _jump_law(params: DegenParams) -> JumpLaw:
     return decompose(params)
 
 
-def simulate_path(params: DegenParams, horizon: float, rng: RngStream) -> SamplePath:
-    """Simulate one trajectory on (0, horizon].
-
-    Burst epochs by exponential inter-arrival inversion (exact, O(1)
-    per burst), sizes iid from the jump law.
-    """
-    if params.validity is not Validity.STRICT:
-        raise ParameterError("path simulation requires strict validity")
-    if horizon <= 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
-    law = _jump_law(params)
-    times: list[float] = []
-    t = 0.0
-    while True:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        t += -math.log1p(-u) / law.burst_rate
-        if t > horizon:
-            break
-        times.append(t)
-    n = len(times)
-    sizes = sample_jump(law, rng, n) if n else np.empty(0, dtype=np.int64)
-    return SamplePath(
-        params=params, horizon=horizon, times=np.asarray(times, dtype=float), sizes=sizes
-    )
+def _coalesced(
+    params: DegenParams,
+    horizon: float,
+    n_paths: int,
+    owners: np.ndarray,
+    times: np.ndarray,
+    sizes: np.ndarray,
+) -> PathEnsemble:
+    """Ensemble from bursts sorted by (path, time).  Bursts that share a
+    path and an epoch, a measure-zero fp artifact, become one burst with
+    the summed size: every counting function is unchanged and the times
+    stay strictly increasing."""
+    if len(times) > 1:
+        new = np.concatenate(([True], (np.diff(times) != 0.0) | (np.diff(owners) != 0)))
+        if not new.all():
+            starts = np.flatnonzero(new)
+            owners, times = owners[starts], times[starts]
+            sizes = np.add.reduceat(sizes, starts)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_paths))))
+    return PathEnsemble(params, horizon, offsets, times, sizes)
 
 
 def simulate_paths(
     params: DegenParams, horizon: float, n_paths: int, rng: RngStream
-) -> list[SamplePath]:
-    """Independent trajectories from one stream (convenience loop)."""
+) -> PathEnsemble:
+    """Simulate independent trajectories on (0, horizon] as one ensemble.
+
+    Exact by the order statistics of the Poisson process: each path
+    draws a Poisson(R*T) burst count, its epochs are iid uniforms on
+    (0, T] sorted within the path, and the jump sizes are iid from the
+    jump law.  The stream gives the counts, then the epochs, then the
+    sizes.  Raises ParameterError for non-strict parameters and for a
+    simulation past :data:`SIMULATION_BUDGET`.
+    """
+    if params.validity is not Validity.STRICT:
+        raise ParameterError("path simulation requires strict validity")
+    if not horizon > 0.0:
+        raise ParameterError(f"horizon must be positive, got {horizon}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
-    return [simulate_path(params, horizon, rng) for _ in range(n_paths)]
+    law = _jump_law(params)
+    mean_bursts = law.burst_rate * horizon
+    if not (n_paths <= SIMULATION_BUDGET and mean_bursts * n_paths <= SIMULATION_BUDGET):
+        raise ParameterError(
+            f"{n_paths} paths with {mean_bursts * n_paths:.3g} expected bursts exceed "
+            f"the simulation budget of {SIMULATION_BUDGET} paths and bursts"
+        )
+    counts = sample_poisson(mean_bursts, rng, n_paths)
+    owners = np.repeat(np.arange(n_paths), counts)
+    epochs = horizon * (1.0 - rng.random(len(owners)))  # 1 - u lies in (0, 1]
+    epochs = epochs[np.lexsort((epochs, owners))]
+    sizes = sample_jump(law, rng, len(epochs))
+    return _coalesced(params, horizon, n_paths, owners, epochs, sizes)
+
+
+def simulate_path(params: DegenParams, horizon: float, rng: RngStream) -> SamplePath:
+    """Simulate one trajectory on (0, horizon]: the one-path ensemble of
+    :func:`simulate_paths` (a Poisson burst count, sorted uniform
+    epochs, iid jump sizes)."""
+    return simulate_paths(params, horizon, 1, rng)[0]
 
 
 def count_at(path: SamplePath, t: float) -> int:
@@ -152,13 +300,17 @@ def increment(path: SamplePath, s: float, t: float) -> int:
     return count_at(path, t) - count_at(path, s)
 
 
-def superpose(paths: list[SamplePath]) -> SamplePath:
-    """Pointwise sum of independent trajectories.
+def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEnsemble:
+    """Pathwise sum of independent trajectories.
 
-    Closed within the family only when every path shares theta, lam and
-    the horizon; the summed path carries the summed rate parameter.
-    Coincident burst times (possible only as an fp artifact) are kept in
-    source-path order.
+    Each item is a :class:`SamplePath`, taken as a one-path ensemble, or
+    a :class:`PathEnsemble`; all hold equally many paths, and path i of
+    the sum merges path i of every item.  Closed within the family only
+    when every item shares theta, lam and the horizon; the sum carries
+    the summed rate parameter.  Coincident burst times within a merged
+    path (possible only as an fp artifact) are coalesced by summing
+    their sizes.  The sum is a SamplePath when every item is one, and a
+    single item is returned as it is.
     """
     if not paths:
         raise ParameterError("need at least one path")
@@ -176,25 +328,21 @@ def superpose(paths: list[SamplePath]) -> SamplePath:
             raise IncompatibleParametersError("superposition requires a common horizon")
     if len(paths) == 1:
         return first
-    times = np.concatenate([p.times for p in paths])
-    sizes = np.concatenate([p.sizes for p in paths])
-    order = np.argsort(times, kind="stable")  # fp ties stay in source-path order
-    times, sizes = times[order], sizes[order]
-    if len(times) > 1 and (np.diff(times) == 0.0).any():
-        # coincident times are a measure-zero fp artifact; the counting
-        # function is unchanged by summing the coincident sizes
-        starts = np.flatnonzero(np.concatenate([[True], np.diff(times) != 0.0]))
-        times = times[starts]
-        sizes = np.add.reduceat(sizes, starts)
+    ensembles = [p if isinstance(p, PathEnsemble) else PathEnsemble.of(p) for p in paths]
+    n_paths = len(ensembles[0])
+    if any(len(e) != n_paths for e in ensembles):
+        raise IncompatibleParametersError("superposition requires equally many paths")
+    owners = np.concatenate([e.owners for e in ensembles])
+    times = np.concatenate([e.times for e in ensembles])
+    sizes = np.concatenate([e.sizes for e in ensembles])
+    order = np.lexsort((times, owners))
     merged_params = validate(
         math.fsum(p.params.alpha for p in paths), first.params.theta, first.params.lam
     )
-    return SamplePath(
-        params=merged_params,
-        horizon=first.horizon,
-        times=times,
-        sizes=sizes,
+    merged = _coalesced(
+        merged_params, first.horizon, n_paths, owners[order], times[order], sizes[order]
     )
+    return merged if any(isinstance(p, PathEnsemble) for p in paths) else merged[0]
 
 
 def laplace_functional(params: DegenParams, t: float, x: float) -> float:

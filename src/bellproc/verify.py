@@ -372,11 +372,7 @@ def _process_checks(seed: int) -> list[CheckResult]:
     rng = RngStream(seed).split(2_000_000)
     horizon = 2.0
     n_paths = 100_000
-    paths = proc.simulate_paths(p, horizon, n_paths, rng)
-    counts = np.array(
-        [[proc.count_at(q, t) for t in (0.5, 1.0, 1.5, 2.0)] for q in paths],
-        dtype=np.int64,
-    )
+    counts = proc.simulate_paths(p, horizon, n_paths, rng).counts_at((0.5, 1.0, 1.5, 2.0))
 
     worst_p = 1.0
     for j, t in enumerate((0.5, 1.0, 2.0)):
@@ -414,12 +410,13 @@ def _process_checks(seed: int) -> list[CheckResult]:
     rng_a = RngStream(seed).split(3_000_001)
     rng_b = RngStream(seed).split(3_000_002)
     p2 = validate(2.0, 1.0, 0.5)
-    merged_counts = np.empty(n_paths, dtype=np.int64)
-    for i in range(n_paths):
-        merged = proc.superpose(
-            [proc.simulate_path(p, 1.0, rng_a), proc.simulate_path(p2, 1.0, rng_b)]
-        )
-        merged_counts[i] = proc.count_at(merged, 1.0)
+    merged = proc.superpose(
+        [
+            proc.simulate_paths(p, 1.0, n_paths, rng_a),
+            proc.simulate_paths(p2, 1.0, n_paths, rng_b),
+        ]
+    )
+    merged_counts = merged.counts_at((1.0,))[:, 0]
     table3 = build_pmf_table(validate(3.0, 1.0, 0.5))
     out.append(
         _check_ge(

@@ -46,12 +46,8 @@ def _report(number: int, name: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def ensemble_100k():
     """100k trajectories of the (1, 1, 1/2) process on [0, 2]."""
-    rng = bp.RngStream(SEED)
-    paths = bp.simulate_paths(P_HALF, 2.0, 100_000, rng)
-    counts = np.array(
-        [[bp.count_at(p, t) for t in (0.5, 1.0, 2.0)] for p in paths], dtype=np.int64
-    )
-    return counts
+    paths = bp.simulate_paths(P_HALF, 2.0, 100_000, bp.RngStream(SEED))
+    return paths.counts_at((0.5, 1.0, 2.0))
 
 
 def test_01_dobinski_equivalence():
@@ -179,12 +175,10 @@ def test_07_convolution_and_superposition():
     rng_a = bp.RngStream(SEED).split(100)
     rng_b = bp.RngStream(SEED).split(101)
     n = 100_000
-    merged_counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        merged = bp.superpose(
-            [bp.simulate_path(pa, 1.0, rng_a), bp.simulate_path(pb, 1.0, rng_b)]
-        )
-        merged_counts[i] = bp.count_at(merged, 1.0)
+    merged = bp.superpose(
+        [bp.simulate_paths(pa, 1.0, n, rng_a), bp.simulate_paths(pb, 1.0, n, rng_b)]
+    )
+    merged_counts = merged.counts_at((1.0,))[:, 0]
     p_value = chisq_pvalue_vs_table(merged_counts, tsum)
     passed = worst <= 1e-10 and p_value > 0.001
     _report(

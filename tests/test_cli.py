@@ -7,8 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy import stats
+
+import bellproc as bp
+from bellproc.cli import main
 
 BASE = [sys.executable, "-m", "bellproc"]
 
@@ -205,6 +209,59 @@ def test_simulate_rejects_bad_horizon():
     out = run_cli("simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
                   "--horizon", "-1")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("horizon", ["inf", "1e300"])
+def test_simulate_refuses_huge_horizon_promptly(horizon):
+    out = subprocess.run(
+        BASE + ["simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
+                "--horizon", horizon],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("bellproc: error:") and "budget" in out.stderr
+
+
+def _simulate_one_path_at_a_time(seed, horizon, n_paths, marginal, fmt):
+    """The simulate output rendered from SamplePath views, one at a time."""
+    params = bp.validate(1.0, 1.0, 0.5)
+    paths = list(bp.simulate_paths(params, horizon, n_paths, bp.RngStream(seed)))
+    hist = None
+    if marginal is not None:
+        hist = np.bincount([bp.count_at(p, marginal) for p in paths])
+    if fmt == "json":
+        payload = {"seed": seed, "paths": [json.loads(p.to_json()) for p in paths]}
+        if hist is not None:
+            payload["marginal"] = {
+                "t": marginal,
+                "histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
+            }
+        return json.dumps(payload, indent=2) + "\n"
+    if n_paths == 1:
+        lines = [paths[0].to_csv().rstrip("\n")]
+    else:
+        lines = ["path,time,size,cumulative_count"]
+        for i, p in enumerate(paths):
+            for t, size, cum in zip(p.times, p.sizes, p.cumulative):
+                lines.append(f"{i},{float(t)!r},{int(size)},{int(cum)}")
+    if hist is not None:
+        lines += ["", "k,count"] + [f"{k},{int(c)}" for k, c in enumerate(hist) if c]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_paths, marginal", [(1, None), (1, 0.3), (60, None), (60, 0.3)])
+def test_simulate_bytes_match_per_path_rendering(tmp_path, fmt, n_paths, marginal):
+    # a short horizon leaves many paths empty
+    target = tmp_path / "out"
+    argv = ["simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
+            "--horizon", "0.6", "--paths", str(n_paths), "--seed", "37",
+            "--format", fmt, "--out", str(target)]
+    if marginal is not None:
+        argv += ["--marginal", str(marginal)]
+    assert main(argv) == 0
+    expected = _simulate_one_path_at_a_time(37, 0.6, n_paths, marginal, fmt)
+    assert target.read_bytes() == expected.encode()
 
 
 # ----------------------------------------------------------------------

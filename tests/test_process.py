@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 import bellproc as bp
+from bellproc import process
 from bellproc.verify import chisq_pvalue_two_sample, chisq_pvalue_vs_table
 
 P_HALF = bp.validate(1.0, 1.0, 0.5)
@@ -17,12 +18,8 @@ P_HALF = bp.validate(1.0, 1.0, 0.5)
 @pytest.fixture(scope="module")
 def ensemble():
     """20k trajectories of the (1, 1, 1/2) process on [0, 2]."""
-    rng = bp.RngStream(4242)
-    paths = bp.simulate_paths(P_HALF, 2.0, 20_000, rng)
-    counts = np.array(
-        [[bp.count_at(p, t) for t in (0.5, 1.0, 1.5, 2.0)] for p in paths], dtype=np.int64
-    )
-    return paths, counts
+    paths = bp.simulate_paths(P_HALF, 2.0, 20_000, bp.RngStream(4242))
+    return paths, paths.counts_at((0.5, 1.0, 1.5, 2.0))
 
 
 # ----------------------------------------------------------------------
@@ -37,10 +34,8 @@ def test_simulate_requires_strict_and_positive_horizon():
 
 
 def test_tiny_horizon_paths_mostly_empty():
-    rng = bp.RngStream(3)
-    empty = sum(
-        1 for _ in range(20_000) if len(bp.simulate_path(P_HALF, 1e-3, rng).times) == 0
-    )
+    paths = bp.simulate_paths(P_HALF, 1e-3, 20_000, bp.RngStream(3))
+    empty = int((paths.counts_at((1e-3,)) == 0).sum())
     # burst probability ~ rate * T = 1.25e-3
     assert empty / 20_000 == pytest.approx(math.exp(-1.25e-3), abs=3e-3)
 
@@ -49,8 +44,7 @@ def test_order_one_plain_poisson_process():
     p = bp.validate(1.0, 1.0, 1.0)
     path = bp.simulate_path(p, 10.0, bp.RngStream(5))
     assert (path.sizes == 1).all()
-    rng = bp.RngStream(6)
-    totals = [bp.count_at(bp.simulate_path(p, 10.0, rng), 10.0) for _ in range(5000)]
+    totals = bp.simulate_paths(p, 10.0, 5000, bp.RngStream(6)).counts_at((10.0,))[:, 0]
     assert np.mean(totals) == pytest.approx(10.0, abs=0.2)  # ~4.7 sigma band
 
 
@@ -184,12 +178,13 @@ def test_superpose_single_path_identity(ensemble):
 def test_superpose_merges_and_adds_rates():
     rng_a, rng_b = bp.RngStream(71), bp.RngStream(73)
     p2 = bp.validate(2.0, 1.0, 0.5)
-    merged_counts = np.empty(20_000, dtype=np.int64)
-    for i in range(20_000):
-        merged = bp.superpose(
-            [bp.simulate_path(P_HALF, 1.0, rng_a), bp.simulate_path(p2, 1.0, rng_b)]
-        )
-        merged_counts[i] = bp.count_at(merged, 1.0)
+    merged = bp.superpose(
+        [
+            bp.simulate_paths(P_HALF, 1.0, 20_000, rng_a),
+            bp.simulate_paths(p2, 1.0, 20_000, rng_b),
+        ]
+    )
+    merged_counts = merged.counts_at((1.0,))[:, 0]
     assert merged.params.alpha == pytest.approx(3.0)
     table = bp.build_pmf_table(bp.validate(3.0, 1.0, 0.5))
     assert chisq_pvalue_vs_table(merged_counts, table) > 0.001
@@ -200,15 +195,13 @@ def test_superpose_family_of_three():
     # rates 0.5, 1, 1.5 merge into one with rate 3
     rngs = [bp.RngStream(1234).split(i) for i in range(3)]
     alphas = (0.5, 1.0, 1.5)
-    merged_counts = np.empty(20_000, dtype=np.int64)
-    for i in range(20_000):
-        merged = bp.superpose(
-            [
-                bp.simulate_path(bp.validate(a, 1.0, 0.5), 1.0, rng)
-                for a, rng in zip(alphas, rngs)
-            ]
-        )
-        merged_counts[i] = bp.count_at(merged, 1.0)
+    merged = bp.superpose(
+        [
+            bp.simulate_paths(bp.validate(a, 1.0, 0.5), 1.0, 20_000, rng)
+            for a, rng in zip(alphas, rngs)
+        ]
+    )
+    merged_counts = merged.counts_at((1.0,))[:, 0]
     assert merged.params.alpha == pytest.approx(3.0)
     table = bp.build_pmf_table(bp.validate(3.0, 1.0, 0.5))
     assert chisq_pvalue_vs_table(merged_counts, table) > 0.001
@@ -253,6 +246,159 @@ def test_superpose_rejects_mismatches():
             bp.superpose([base, bad])
     with pytest.raises(bp.ParameterError):
         bp.superpose([])
+
+
+def test_superpose_ensembles_path_by_path():
+    a = bp.simulate_paths(P_HALF, 1.0, 500, bp.RngStream(107))
+    b = bp.simulate_paths(bp.validate(2.0, 1.0, 0.5), 1.0, 500, bp.RngStream(109))
+    merged = bp.superpose([a, b])
+    assert isinstance(merged, bp.PathEnsemble) and len(merged) == 500
+    assert merged.params.alpha == pytest.approx(3.0)
+    for i, view in enumerate(merged):
+        ref = bp.superpose([a[i], b[i]])
+        assert (view.times == ref.times).all() and (view.sizes == ref.sizes).all()
+        assert (view.times == np.sort(np.concatenate([a[i].times, b[i].times]))).all()
+    with pytest.raises(bp.IncompatibleParametersError):
+        bp.superpose([a, b[:499]])
+    with pytest.raises(bp.IncompatibleParametersError):
+        bp.superpose([a, a[0]])
+
+
+def test_superpose_ensembles_coalesce_within_a_path_only():
+    # path 0 of both items bursts at 0.5: one burst of size 3; path 1
+    # of the first item also bursts at 0.5 and stays a burst of its own
+    first = bp.PathEnsemble(
+        P_HALF, 1.0, np.array([0, 1, 2]), np.array([0.5, 0.5]), np.array([1, 1])
+    )
+    second = bp.PathEnsemble(
+        P_HALF, 1.0, np.array([0, 2, 2]), np.array([0.25, 0.5]), np.array([2, 2])
+    )
+    merged = bp.superpose([first, second])
+    assert list(merged.offsets) == [0, 2, 3]
+    assert list(merged.times) == [0.25, 0.5, 0.5]
+    assert list(merged.sizes) == [2, 3, 1]
+    assert merged.counts_at((0.5,)).tolist() == [[5], [1]]
+
+
+# ----------------------------------------------------------------------
+# path ensembles
+
+
+class _TiedUniforms(bp.RngStream):
+    """A stream whose uniforms are all 1/2: every epoch of a path ties."""
+
+    def random(self, size=None):
+        return np.full(size, 0.5)
+
+
+def test_ensemble_counts_at_matches_count_at_on_every_view():
+    paths = bp.simulate_paths(P_HALF, 2.0, 3000, bp.RngStream(113))
+    # unsorted, with a repeat, both ends and a time that is a burst epoch
+    grid = (2.0, 0.0, 0.7, 1.0, 0.25, float(paths.times[0]), 1.0, 1.5)
+    counts = paths.counts_at(grid)
+    assert counts.shape == (3000, len(grid)) and counts.dtype == np.int64
+    reference = [[bp.count_at(view, t) for t in grid] for view in paths]
+    assert counts.tolist() == reference
+
+
+def test_ensemble_counts_at_domain():
+    paths = bp.simulate_paths(P_HALF, 2.0, 10, bp.RngStream(127))
+    for bad in ((-0.1,), (2.1,), (float("nan"),), [[1.0]]):
+        with pytest.raises(bp.ParameterError):
+            paths.counts_at(bad)
+    assert paths.counts_at(()).shape == (10, 0)
+
+
+def test_ensemble_coalesces_tied_epochs():
+    paths = bp.simulate_paths(P_HALF, 2.0, 200, _TiedUniforms(131))
+    bursts = np.diff(paths.offsets)
+    assert bursts.max() <= 1 and bursts.sum() > 0
+    assert (paths.times == 1.0).all()
+    # every jump is 1 at u = 1/2, so a path's one burst carries its
+    # Poisson count; the same seed's counts come from the same generator
+    totals = bp.sample_poisson(1.25 * 2.0, bp.RngStream(131), 200)
+    assert paths.counts_at((0.5, 1.0, 2.0)).tolist() == [[0, n, n] for n in totals]
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1), (0.5, 2), (0.25, 4)])
+def test_ensemble_views_satisfy_path_invariants(lam, m):
+    paths = bp.simulate_paths(bp.validate(1.0, 2.0, lam), 2.0, 2000, bp.RngStream(137))
+    assert len(paths) == 2000 and sum(1 for _ in paths) == 2000
+    seen = 0
+    for view in paths:
+        assert isinstance(view, bp.SamplePath)
+        assert (np.diff(view.times) > 0).all()
+        if len(view.times):
+            assert 0.0 < view.times[0] and view.times[-1] <= 2.0
+        assert ((view.sizes >= 1) & (view.sizes <= m)).all()
+        seen += len(view.times)
+    assert seen == len(paths.times) > 0
+    assert (paths.cumulative == np.concatenate([v.cumulative for v in paths])).all()
+
+
+def test_ensemble_indexing_and_slicing():
+    paths = bp.simulate_paths(P_HALF, 2.0, 50, bp.RngStream(139))
+    views = list(paths)
+    assert (paths[-1].times == views[49].times).all()
+    with pytest.raises(IndexError):
+        paths[50]
+    for piece in (slice(10, 20), slice(None, None, 7), slice(None, None, -3), slice(5, 5)):
+        sub = paths[piece]
+        assert isinstance(sub, bp.PathEnsemble)
+        expected = views[piece]
+        assert len(sub) == len(expected)
+        for got, want in zip(sub, expected):
+            assert (got.times == want.times).all() and (got.sizes == want.sizes).all()
+
+
+def test_ensemble_same_seed_same_arrays():
+    first = bp.simulate_paths(P_HALF, 2.0, 1000, bp.RngStream(149))
+    second = bp.simulate_paths(P_HALF, 2.0, 1000, bp.RngStream(149))
+    for name in ("offsets", "times", "sizes"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    other = bp.simulate_paths(P_HALF, 2.0, 1000, bp.RngStream(151))
+    assert not np.array_equal(first.times, other.times)
+
+
+def test_simulate_path_is_the_one_path_ensemble():
+    path = bp.simulate_path(P_HALF, 5.0, bp.RngStream(157))
+    (view,) = bp.simulate_paths(P_HALF, 5.0, 1, bp.RngStream(157))
+    assert (path.times == view.times).all() and (path.sizes == view.sizes).all()
+
+
+def test_ensemble_rejects_bad_columns():
+    good = dict(params=P_HALF, horizon=1.0, offsets=np.array([0, 1, 2]))
+    for times, sizes in (
+        ([0.5, 0.5], [1, 0]),  # size below 1
+        ([0.5, 1.5], [1, 1]),  # past the horizon
+        ([0.0, 0.5], [1, 1]),  # at time 0
+        ([0.5], [1]),  # offsets do not end at the burst count
+    ):
+        with pytest.raises(bp.ParameterError):
+            bp.PathEnsemble(times=np.array(times), sizes=np.array(sizes), **good)
+    with pytest.raises(bp.ParameterError):  # falls back inside a path
+        bp.PathEnsemble(P_HALF, 1.0, np.array([0, 2]), np.array([0.5, 0.4]), np.array([1, 1]))
+    # a fall back where a new path starts is fine
+    bp.PathEnsemble(P_HALF, 1.0, np.array([0, 1, 2]), np.array([0.5, 0.4]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize(
+    "horizon, n_paths",
+    [
+        (math.inf, 1),
+        (1e300, 1),
+        (math.nan, 1),
+        (1e-9, process.SIMULATION_BUDGET + 1),
+        (2.0 * process.SIMULATION_BUDGET / 1.25, 1),
+        (2.0, process.SIMULATION_BUDGET // 2),
+    ],
+)
+def test_simulation_budget_refused_up_front(horizon, n_paths):
+    # refused before anything is drawn: the stream is left untouched
+    rng = bp.RngStream(163)
+    with pytest.raises(bp.ParameterError):
+        bp.simulate_paths(P_HALF, horizon, n_paths, rng)
+    assert rng.random() == bp.RngStream(163).random()
 
 
 # ----------------------------------------------------------------------
