@@ -1,11 +1,12 @@
 """Degenerate Bell counting law and process: numerics, samplers, paths.
 
-A numpy/scipy library implementing the two-parameter degenerate Bell
+A numpy library implementing the two-parameter degenerate Bell
 counting distribution (an overdispersed, batch-arrival generalization
 of the Poisson law) and its continuous-time counting process, with
 exact special-function kernels, certified truncated tables, two
 independent samplers, path simulation, and a built-in verification
-battery exposed through the ``bellproc`` command line tool.
+battery exposed through the ``bellproc`` command line tool.  Only the
+battery (``bellproc.verify``) imports scipy.
 """
 
 from .distribution import (

@@ -7,14 +7,25 @@ that powers the samplers and the path simulator.
 
 Validity regimes
 ----------------
-The law has a genuine probability mass function only when every value
-is nonnegative.  That is provable exactly when ``lam`` is 1 or the
-reciprocal of a positive integer m (all triangle coefficients are then
-nonnegative and the jump weights truncate at k = m).  Such parameters
-are tagged ``Validity.STRICT``.  Any other ``lam`` in (0, 1] is
-accepted only after a numerical scan of the table confirms no mass
-below -1e-12 (``Validity.ASYMPTOTIC``); the scan rejects, for example,
-lam = 0.6 with small rate, where the k = 3 coefficient goes negative.
+Write e_lam(x) = (1 + lam*x)**(1/lam) = sum_j c_j x**j, with c_0 = 1 and
+c_j = c_{j-1} * (1 - (j-1)*lam) / j.  When ``lam`` is 1 or 1/m for a
+positive integer m, every c_j is nonnegative and vanishes past j = m, so
+the law is provably nonnegative (``Validity.STRICT``).  For any other
+``lam`` in (0, 1] the c_j alternate in sign past j = 1/lam + 1, and so
+do the masses far out; such parameters (``Validity.ASYMPTOTIC``) are
+accepted only if their certified table has no mass below -1e-12 (lam =
+0.6 with small rate is rejected, for example).
+
+Both regimes take one route.  With b_j = alpha * c_j * theta**j, the
+pgf exp(alpha*(e_lam(theta*t) - e_lam(theta))) gives the Panjer
+recurrence k * p_k = sum_{j=1..min(k, m)} j * b_j * p_{k-j}, started
+from p_0 = exp(-R) on a moving log scale.  The table stops at the cutoff
+K certified by Cauchy's estimate: for 1 < r < 1/(lam*theta) (any r > 1
+when lam = 1/m) the pgf is analytic on |t| <= r, where its modulus is at
+most M(r) = exp(alpha*(e_lam(theta*r) - e_lam(theta))), so
+sum_{k>K} |p_k| <= M(r) * r**-(K+1) / (1 - 1/r), signed masses included.
+A non-reciprocal ``lam`` with lam*theta >= 1 leaves no such r and is
+refused.
 """
 
 from __future__ import annotations
@@ -22,12 +33,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ConvergenceError,
@@ -35,18 +46,7 @@ from .errors import (
     ParameterError,
     TailSliverError,
 )
-from .special import (
-    MAX_LOG_TABLE_N,
-    MAX_TABLE_N,
-    RECIPROCAL_INT_TOL,
-    LogStirlingTable,
-    StirlingTable,
-    bell_poly,
-    build_log_stirling_table,
-    build_stirling_table,
-    degenerate_exp,
-    falling_factorial,
-)
+from .special import RECIPROCAL_INT_TOL, degenerate_exp
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -54,10 +54,16 @@ DEFAULT_TAIL_TOL = 1e-12
 # anything more negative means the parameters do not define a law.
 NEGATIVE_MASS_TOL = 1e-12
 
-# Past either threshold all quantities go through logs to dodge
-# overflow in theta**k / k! and in the polynomial values.
-_LOG_REGIME_K = 30
-_LOG_REGIME_RATE = 30.0
+# A recurrence to K costs a dot product over min(K, m) weights per mass,
+# plus a fixed interpreter cost per mass worth about _STEP_COST of its
+# multiply-adds.  Work past RECURRENCE_BUDGET multiply-adds (about a
+# second) is refused before anything is allocated.
+RECURRENCE_BUDGET = 4_000_000_000
+_STEP_COST = 10_000
+
+# The recurrence keeps its working values within [1/_SCALE_LIMIT,
+# _SCALE_LIMIT] by moving the log scale.
+_SCALE_LIMIT = 1e150
 
 
 class Validity(Enum):
@@ -86,20 +92,32 @@ def _is_reciprocal_integer(lam: float) -> bool:
     if lam == 1.0:
         return True
     inv = 1.0 / lam
-    return abs(inv - round(inv)) < RECIPROCAL_INT_TOL and round(inv) >= 1
+    return math.isfinite(inv) and abs(inv - round(inv)) < RECIPROCAL_INT_TOL
+
+
+def _log_e(lam: float, x: float) -> float:
+    """log e_lam(x) = log1p(lam*x) / lam; x itself where lam*x underflows."""
+    y = lam * x
+    return math.log1p(y) / lam if y > 1e-300 else x
 
 
 def burst_rate(alpha: float, theta: float, lam: float) -> float:
-    """Rate alpha * (e_lam(theta) - 1) of the underlying burst process."""
-    return alpha * (degenerate_exp(1.0, lam, theta) - 1.0)
+    """Rate alpha * (e_lam(theta) - 1) of the underlying burst process;
+    inf where it overflows."""
+    try:
+        return alpha * math.expm1(_log_e(lam, theta))
+    except OverflowError:
+        return math.inf
 
 
 def validate(alpha: float, theta: float, lam: float) -> DegenParams:
     """Classify and return validated parameters, or raise ParameterError.
 
     Strict: lam is 1 or a reciprocal integer (law provably nonnegative).
-    Asymptotic: other lam in (0, 1]; accepted only if every table entry
-    up to the truncation cutoff stays above -1e-12.
+    Asymptotic: other lam in (0, 1], with lam*theta < 1 so that the pgf's
+    radius of convergence exceeds 1; accepted only if the certified table
+    has no mass below -1e-12, and its clamped negative masses plus its
+    certified tail stay within the default tail tolerance.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must be positive and finite, got {alpha}")
@@ -109,6 +127,12 @@ def validate(alpha: float, theta: float, lam: float) -> DegenParams:
         raise ParameterError(f"lam must lie in (0, 1], got {lam}")
     if _is_reciprocal_integer(lam):
         return DegenParams(alpha, theta, lam, Validity.STRICT)
+    if lam * theta >= 1.0:
+        raise ParameterError(
+            f"lam*theta = {lam * theta} >= 1 for non-reciprocal lam={lam}: the "
+            f"generating function's radius of convergence 1/(lam*theta) = "
+            f"{1.0 / (lam * theta)} is not above 1, so no tail can be certified"
+        )
     params = DegenParams(alpha, theta, lam, Validity.ASYMPTOTIC)
     # Builds the table, which itself rejects negative mass.
     _cached_table(params, DEFAULT_TAIL_TOL)
@@ -116,41 +140,114 @@ def validate(alpha: float, theta: float, lam: float) -> DegenParams:
 
 
 # ----------------------------------------------------------------------
-# Triangle caches.  Linear triangles are shared in coarse size buckets;
-# log-domain triangles (strict lam only) are kept small in number since
-# a single big one costs megabytes.
+# The one route to the masses: series coefficients, the Cauchy cutoff
+# and the Panjer recurrence.
 
 
-@lru_cache(maxsize=32)
-def _linear_table(lam: float, max_n: int) -> StirlingTable:
-    return build_stirling_table(lam, max_n)
+def _check_budget(steps: float, width: float) -> None:
+    """Refuse a recurrence of `steps` masses over `width` weights past the budget."""
+    if not steps * (width + _STEP_COST) <= RECURRENCE_BUDGET:  # also refuses nan
+        raise ConvergenceError(
+            f"a recurrence to K = {steps:.6g} over {width:.6g} weights exceeds "
+            f"the budget of {RECURRENCE_BUDGET:.3g} multiply-adds"
+        )
 
 
-def _linear_table_for(lam: float, n: int) -> StirlingTable:
-    if n > MAX_TABLE_N:
-        raise ConvergenceError(f"index {n} beyond linear triangle cap {MAX_TABLE_N}")
-    bucket = min(MAX_TABLE_N, ((n // 32) + 1) * 32)
-    return _linear_table(lam, bucket)
+def _exp_series(params: DegenParams, n: int) -> np.ndarray:
+    """c_j * theta**j for j = 0..min(n, m): the series of e_lam(theta*t).
+
+    Under strict validity every later coefficient is exactly 0, so the
+    array stops at j = m.
+    """
+    m = params.reciprocal_order
+    top = n if m is None else min(n, m)
+    _check_budget(top, 0)
+    j = np.arange(1, top + 1)
+    factors = params.theta * (1.0 - (j - 1) * params.lam) / j
+    return np.concatenate(([1.0], np.cumprod(factors)))
 
 
-@lru_cache(maxsize=4)
-def _log_table(lam: float, max_n: int) -> LogStirlingTable:
-    return build_log_stirling_table(lam, max_n)
+def _cutoff(params: DegenParams, target: float) -> int:
+    """Least K whose Cauchy estimate bounds sum_{k>K} |p_k| by target.
+
+    With r = exp(s), K + 1 >= (log M(r) - log(1 - exp(-s)) - log target)/s
+    suffices, M(r) = exp(alpha*(e_lam(theta*r) - e_lam(theta))).  Refuses
+    a K past the budget.
+    """
+    alpha, theta, lam = params.alpha, params.theta, params.lam
+    m = params.reciprocal_order
+    log_e_theta = _log_e(lam, theta)
+    log_prefix = math.log(alpha) + log_e_theta
+    log_target = math.log(target)
+
+    def needed(s: float) -> float:
+        d = _log_e(lam, theta * math.exp(s)) - log_e_theta
+        if not d > 0.0:  # s below rounding: no usable estimate
+            return math.inf
+        # log(alpha*(e_lam(theta*e**s) - e_lam(theta))), free of overflow
+        log_cumulant = log_prefix + d + math.log(-math.expm1(-d))
+        if log_cumulant > 700.0:
+            return math.inf
+        return (math.exp(log_cumulant) - math.log(-math.expm1(-s)) - log_target) / s
+
+    # Any radius gives a valid bound; a geometric grid in s = log r,
+    # below s = 40 and the radius of convergence, finds a near-least one.
+    hi = -math.log(lam * theta) if m is None and lam * theta > math.exp(-40.0) else 40.0
+    need = min(needed(hi * 2.0 ** (-i / 4)) for i in range(1, 161))
+    _check_budget(need, need if m is None else min(need, m))
+    return max(math.ceil(need) - 1, 0)
 
 
-def _log_table_for(lam: float, n: int) -> LogStirlingTable:
-    if n > MAX_LOG_TABLE_N:
-        raise ConvergenceError(f"index {n} beyond log triangle cap {MAX_LOG_TABLE_N}")
-    bucket = min(MAX_LOG_TABLE_N, ((n // 128) + 1) * 128)
-    return _log_table(lam, bucket)
+def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, list[int]]:
+    """Log magnitudes log|p_k| for k = 0..n, and the k with p_k < 0.
 
-
-def _log_poly(n: int, log_x: float, table: LogStirlingTable) -> float:
-    """log of the degenerate Bell polynomial via the log-domain triangle."""
-    if n == 0:
-        return 0.0
-    k = np.arange(1, n + 1)
-    return float(logsumexp(table.log_entries[n, 1 : n + 1] + k * log_x))
+    Runs the Panjer recurrence on q_k = p_k * exp(-shift), moving the
+    shift whenever q_k leaves [1/_SCALE_LIMIT, _SCALE_LIMIT].  Each log
+    mass is taken as its q_k is made, so it stays exact where the mass
+    itself underflows.  Stops with ParameterError at the first mass below
+    -NEGATIVE_MASS_TOL.
+    """
+    m = params.reciprocal_order
+    width = n if m is None else min(n, m)
+    _check_budget(n, width)
+    # weights[width - j] = j * b_j, so each step is one contiguous dot.
+    series = _exp_series(params, width)
+    weights = (params.alpha * np.arange(1, width + 1) * series[1:])[::-1].copy()
+    q = np.empty(n + 1)
+    logs = np.empty(n + 1)
+    # With every weight present, R is their sum: the closed form differs
+    # in the last bits, which at R ~ 3000 moves the total mass by 1e-12.
+    if width == m:
+        shift = -params.alpha * math.fsum(series[1:])
+    else:
+        shift = -burst_rate(params.alpha, params.theta, params.lam)
+    q[0], logs[0] = 1.0, shift
+    log_tol = math.log(NEGATIVE_MASS_TOL)
+    negative = []
+    for k in range(1, n + 1):
+        lo = max(k - width, 0)
+        acc = float(np.dot(weights[width - (k - lo) :], q[lo:k])) / k
+        q[k] = acc
+        size = abs(acc)
+        if size > _SCALE_LIMIT or 0.0 < size < 1.0 / _SCALE_LIMIT:
+            window = q[max(k - width + 1, 0) : k + 1]
+            scale = max(size, float(np.abs(window).max()) / _SCALE_LIMIT)
+            window /= scale
+            # Values this far below the window's largest are negligible;
+            # left as subnormals they would only slow every later dot.
+            window[np.abs(window) < 1e-300] = 0.0
+            shift += math.log(scale)
+            size = abs(q[k])
+        logs[k] = math.log(size) + shift if size > 0.0 else -math.inf
+        if acc < 0.0:
+            if logs[k] > log_tol:
+                raise ParameterError(
+                    f"parameters (alpha={params.alpha}, theta={params.theta}, "
+                    f"lam={params.lam}) give negative mass {-math.exp(logs[k]):.3e} "
+                    f"at k={k}: not a probability law"
+                )
+            negative.append(k)
+    return logs, negative
 
 
 # ----------------------------------------------------------------------
@@ -160,30 +257,18 @@ def _log_poly(n: int, log_x: float, table: LogStirlingTable) -> float:
 def log_pmf(k: int, params: DegenParams) -> float:
     """Log of the mass at k.
 
-    -rate + k*log(theta) - log(k!) + log(poly value at alpha); under
-    strict validity the polynomial value is strictly positive, so this
-    is always finite there.  Returns -inf for a clamped zero entry in
-    asymptotic mode.
+    Finite wherever the mass is positive; -inf where a signed mass of
+    the asymptotic regime is clamped to 0.  Read from the cached table,
+    or from the recurrence run to k where the table's entry underflows
+    or k lies past its end.
     """
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    rate = burst_rate(alpha, theta, lam)
-    base = -rate + k * math.log(theta) - math.lgamma(k + 1)
-    if k < _LOG_REGIME_K and rate < _LOG_REGIME_RATE:
-        poly = bell_poly(k, alpha, _linear_table_for(lam, k))
-        if poly <= 0.0:
-            return -math.inf
-        return base + math.log(poly)
-    if params.validity is Validity.STRICT:
-        return base + _log_poly(k, math.log(alpha), _log_table_for(lam, k))
-    # Asymptotic regime: restricted to the linear triangle's reach.
-    poly = bell_poly(k, alpha, _linear_table_for(lam, k))
-    if not math.isfinite(poly):
-        raise ConvergenceError(f"polynomial value overflow at k={k} in asymptotic mode")
-    if poly <= 0.0:
-        return -math.inf
-    return base + math.log(poly)
+    probs = _cached_table(params, DEFAULT_TAIL_TOL).probs
+    if k < len(probs) and probs[k] >= sys.float_info.min:
+        return math.log(probs[k])
+    logs, negative = _masses(params, k)
+    return -math.inf if k in negative else float(logs[k])
 
 
 def pmf(k: int, params: DegenParams) -> float:
@@ -271,108 +356,26 @@ class PmfTable:
         return cls(params=params, probs=probs, tail_mass=float(obj["tail_mass"]))
 
 
-def _strict_truncation_index(params: DegenParams, tail_tol: float) -> int:
-    """Cutoff K with a certified bound P(X > K) <= tail_tol/2.
-
-    Exponential-moment (Chernoff) certificate on the closed-form moment
-    generating function: for any s > 0,
-
-        P(X >= K) <= exp(alpha*(e_lam(theta*e**s) - e_lam(theta)) - s*K),
-
-    minimized over a grid of s.  Rigorous (Markov inequality on
-    exp(s*X)) and uniformly usable: the naive alternative of dominating
-    X by m * Poisson(rate) explodes for small lam = 1/m, where the jump
-    bound m is huge but typical jumps are tiny.
-    """
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    e_theta = degenerate_exp(1.0, lam, theta)
-    target = math.log(tail_tol / 2.0)
-    best: int | None = None
-    for i in range(1, 401):
-        s = 0.05 * i
-        try:
-            cumulant = alpha * (degenerate_exp(1.0, lam, theta * math.exp(s)) - e_theta)
-        except OverflowError:
-            break
-        k = math.ceil((cumulant - target) / s)
-        if best is None or k < best:
-            best = k
-    if best is None:
-        raise ConvergenceError(f"no usable exponential moment for {params}")
-    return max(best, 8)
-
-
-def _asymptotic_raw_mass(k: int, params: DegenParams) -> float:
-    """Signed mass at k for non-reciprocal lam (no clamping).
-
-    Goes through log magnitudes so the sign survives even where k! or
-    the polynomial value would overflow plain arithmetic.
-    """
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    poly = bell_poly(k, alpha, _linear_table_for(lam, k))
-    if not math.isfinite(poly):
-        raise ConvergenceError(f"polynomial value overflow at k={k} in asymptotic mode")
-    if poly == 0.0:
-        return 0.0
-    base = -burst_rate(alpha, theta, lam) + k * math.log(theta) - math.lgamma(k + 1)
-    return math.copysign(math.exp(base + math.log(abs(poly))), poly)
-
-
-def _asymptotic_probs(params: DegenParams, tail_tol: float) -> np.ndarray:
-    """Expand masses for non-reciprocal lam until a geometric tail bound
-    certifies the remainder.
-
-    The generating function has a branch point at t = -1/(lam*theta), so
-    the masses decay like (lam*theta)**k; the observed term ratio must
-    settle below some q < 1 before the bound |a_K| * q/(1-q) <= tol/2
-    is accepted.  Rejects (ParameterError) on any mass below -1e-12:
-    the parameters do not define a probability law.
-    """
-    ratio_floor = params.lam * params.theta
-    terms: list[float] = []
-    recent: list[float] = []
-    k = 0
-    while True:
-        raw = _asymptotic_raw_mass(k, params)
-        if raw < -NEGATIVE_MASS_TOL:
-            raise ParameterError(
-                f"parameters (alpha={params.alpha}, theta={params.theta}, "
-                f"lam={params.lam}) give negative mass {raw:.3e} at k={k}: "
-                "not a probability law"
-            )
-        if k >= 1 and terms[-1] > 0.0 and raw > 0.0:
-            recent.append(raw / terms[-1])
-            recent = recent[-5:]
-        else:
-            recent = []
-        terms.append(max(raw, 0.0))
-        if k >= 10 and len(recent) == 5:
-            q = max(max(recent), ratio_floor)
-            if q < 0.95 and terms[-1] * q / (1.0 - q) <= tail_tol / 2.0:
-                return np.asarray(terms)
-        k += 1
-        if k > MAX_TABLE_N:
-            raise ConvergenceError(
-                f"asymptotic-mode expansion for lam={params.lam}, "
-                f"theta={params.theta} exceeded the cap before certifying the "
-                f"tail (lam*theta={ratio_floor:.3g})"
-            )
-
-
 def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> PmfTable:
-    """Tabulate the law with tail mass certified at most tail_tol."""
+    """Tabulate the law with tail mass certified at most tail_tol.
+
+    The cutoff is the least K whose Cauchy estimate bounds the absolute
+    tail by tail_tol/2.  Masses in (-NEGATIVE_MASS_TOL, 0) are clamped
+    to 0; their total counts against tail_tol with the certified tail,
+    and ParameterError is raised when the two exceed it.
+    """
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if params.validity is Validity.STRICT:
-        cutoff = _strict_truncation_index(params, tail_tol)
-        probs = np.array([math.exp(log_pmf(k, params)) for k in range(cutoff + 1)])
-    else:
-        probs = _asymptotic_probs(params, tail_tol)
-    if probs.min() < -NEGATIVE_MASS_TOL:
+    certified = tail_tol / 2.0
+    logs, negative = _masses(params, _cutoff(params, certified))
+    probs = np.exp(logs)
+    clamped = math.fsum(probs[negative])
+    if clamped + certified > tail_tol:
         raise ParameterError(
-            f"negative mass {probs.min():.3e} survived construction for {params}"
+            f"clamped negative mass {clamped:.3e} plus the certified tail "
+            f"{certified:.3e} exceeds tail_tol {tail_tol:.3e} for {params}"
         )
-    probs = np.maximum(probs, 0.0)
+    probs[negative] = 0.0
     residual = 1.0 - math.fsum(probs)
     if abs(residual) > tail_tol:
         raise ConvergenceError(
@@ -493,22 +496,20 @@ def decompose(params: DegenParams) -> JumpLaw:
 
     Writing the PGF as exp(R*(H(t) - 1)) with R the burst rate forces H
     to be the normalized zero-truncated series of the degenerate
-    exponential, i.e. jump weights proportional to ff(1, k, lam) *
-    theta**k / k!.  Requires strict validity: for other lam some weight
-    is negative and no such decomposition exists.
+    exponential, i.e. jump weights proportional to c_k * theta**k, the
+    coefficients the mass recurrence runs on.  Requires strict validity:
+    for other lam some weight is negative and no such decomposition
+    exists.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError(
             "compound decomposition requires strict validity (lam = 1 or 1/m); "
             f"got lam={params.lam}"
         )
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    m = params.reciprocal_order
-    rate = burst_rate(alpha, theta, lam)
-    weights = np.array(
-        [falling_factorial(1.0, k, lam) * theta**k / math.factorial(k) for k in range(1, m + 1)]
-    )
-    normalizer = degenerate_exp(1.0, lam, theta) - 1.0
-    probs = weights / normalizer
+    rate = burst_rate(params.alpha, params.theta, params.lam)
+    if not math.isfinite(rate):
+        raise ParameterError(f"burst rate of {params} overflows")
+    weights = _exp_series(params, params.reciprocal_order)[1:]
+    probs = weights / math.fsum(weights)
     probs.setflags(write=False)
-    return JumpLaw(burst_rate=rate, jump_probs=probs, support_bound=m)
+    return JumpLaw(burst_rate=rate, jump_probs=probs, support_bound=len(probs))

@@ -29,10 +29,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distribution import DegenParams, JumpLaw, Validity, decompose, validate
+from .distribution import DegenParams, JumpLaw, Validity, _exp_series, decompose, validate
 from .errors import IncompatibleParametersError, ParameterError
 from .sampling import RngStream, sample_jump, sample_poisson
-from .special import degenerate_exp, falling_factorial
+from .special import degenerate_exp
 
 
 @dataclass(frozen=True)
@@ -360,16 +360,12 @@ def laplace_functional(params: DegenParams, t: float, x: float) -> float:
 
 
 def small_s_intensity(k: int, params: DegenParams, s: float) -> float:
-    """Linear-in-s approximation alpha*s*ff(1, k, lam)*theta**k / k! of
-    the probability of k events in a window of length s."""
+    """Linear-in-s approximation alpha*s*c_k*theta**k of the probability
+    of k events in a window of length s; c_k is the k-th coefficient of
+    the degenerate exponential, 0 past m when lam = 1/m."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if s <= 0.0:
         raise ParameterError(f"s must be positive, got {s}")
-    return (
-        params.alpha
-        * s
-        * falling_factorial(1.0, k, params.lam)
-        * params.theta**k
-        / math.factorial(k)
-    )
+    series = _exp_series(params, k)
+    return params.alpha * s * float(series[k]) if k < len(series) else 0.0

@@ -94,9 +94,8 @@ class LogStirlingTable:
     Only for lam = 1 or lam = 1/m: there every entry is nonnegative
     (the generating function ((1 + t/m)**m - 1)**k / k! has nonnegative
     coefficients), so the recurrence never subtracts and the whole
-    triangle is representable as logs, with -inf marking exact zeros.
-    Needed for distribution work at indices far past linear-domain
-    overflow.
+    triangle is representable as logs, with -inf marking exact zeros,
+    at indices far past linear-domain overflow.
     """
 
     lam: float

@@ -3,6 +3,7 @@ functions, moments, convolution closure, and the compound split."""
 
 import json
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import stats
 
 import bellproc as bp
 from bellproc import (
+    BellprocError,
     ConvergenceError,
     IncompatibleParametersError,
     ParameterError,
@@ -113,13 +115,17 @@ def test_pmf_rejects_negative_k():
         bp.pmf(-1, bp.validate(1, 1, 1))
 
 
-def test_pmf_beyond_cap():
-    with pytest.raises(ConvergenceError):
-        bp.pmf(5000, bp.validate(1, 1, 0.5))
+def test_log_pmf_past_table_end_against_poisson():
+    # the table stops near k = 16; k = 5000 extends the recurrence, and
+    # its mass (about 1e-16327) is far below the double range
+    p = bp.validate(1.0, 1.0, 1.0)
+    assert bp.build_pmf_table(p).support_max < 5000
+    assert bp.log_pmf(5000, p) == pytest.approx(-1.0 - math.lgamma(5001), rel=1e-13)
+    assert bp.pmf(5000, p) == 0.0
 
 
 def test_log_pmf_crosses_linear_log_boundary_smoothly():
-    # k = 29 uses plain arithmetic, k >= 30 the log-domain triangle
+    # consecutive mass ratios vary smoothly across k = 30
     p = bp.validate(1.5, 1.0, 0.5)
     ratios = [bp.pmf(k + 1, p) / bp.pmf(k, p) for k in (27, 28, 29, 30, 31)]
     diffs = np.abs(np.diff(ratios))
@@ -382,6 +388,19 @@ def test_decompose_pgf_identity():
             assert lhs == pytest.approx(bp.pgf(float(t), params), abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [171, 200, 10_000])
+def test_decompose_past_factorial_overflow(m):
+    # the jump weights theta**k / k! * ff(1, k, 1/m) overflow factorials
+    # past k = 170; built from the series coefficients they do not
+    params = bp.validate(1.0, 2.0, 1.0 / m)
+    law = bp.decompose(params)
+    assert law.support_bound == len(law.jump_probs) == m
+    assert abs(math.fsum(law.jump_probs) - 1.0) <= 1e-12
+    for t in np.linspace(0.0, 1.0, 10):
+        lhs = math.exp(law.burst_rate * (law.pgf(float(t)) - 1.0))
+        assert abs(lhs - bp.pgf(float(t), params)) <= 1e-10
+
+
 def test_jump_mean_times_rate_is_distribution_mean():
     for params in GRID[:20]:
         law = bp.decompose(params)
@@ -402,7 +421,7 @@ def test_near_zero_order_matches_bell_touchard():
 
 
 # ----------------------------------------------------------------------
-# high-precision oracle for the log-domain route
+# high-precision oracles: the 60-digit triangle and the Poisson closed form
 
 
 def _oracle_pmf(k, alpha, theta, lam):
@@ -426,8 +445,8 @@ def _oracle_pmf(k, alpha, theta, lam):
 
 
 def test_log_domain_route_against_high_precision_oracle():
-    # k = 164 is the deepest certified entry at these parameters; the
-    # whole bulk (k >= 30) goes through logsumexp over the log triangle
+    # deep into the certified table, far past where theta**k / k! and
+    # the polynomial values leave plain arithmetic
     params = bp.validate(5.0, 2.0, 0.1)
     for k in (0, 3, 30, 50, 100, 164):
         oracle = _oracle_pmf(k, 5.0, 2.0, 0.1)
@@ -435,12 +454,124 @@ def test_log_domain_route_against_high_precision_oracle():
 
 
 def test_large_rate_poisson_collapse_all_log_regime():
-    # rate 40 >= 30 pushes even k = 0 through the log-domain path
+    # rate 40: every mass is built up from p_0 = exp(-40)
     params = bp.validate(40.0, 1.0, 1.0)
     table = bp.build_pmf_table(params, 1e-12)
     k = np.arange(len(table.probs))
     ref = stats.poisson.pmf(k, 40.0)
     assert np.abs(table.probs - ref).max() <= 1e-13
+
+
+def test_large_rate_against_poisson_closed_form():
+    # p_0 = exp(-1000) underflows; the log masses must not
+    params = bp.validate(1000.0, 1.0, 1.0)
+    table = bp.build_pmf_table(params, 1e-12)
+    assert 1200 <= table.support_max <= 1300
+    assert table.probs[0] == 0.0
+    assert bp.log_pmf(0, params) == -1000.0
+    for k in (1, 500, 1000, table.support_max, 3000):
+        ref = -1000.0 + k * math.log(1000.0) - math.lgamma(k + 1)
+        assert bp.log_pmf(k, params) == pytest.approx(ref, rel=1e-13, abs=1e-10)
+    k = np.arange(len(table.probs))
+    assert np.abs(table.probs - stats.poisson.pmf(k, 1000.0)).max() <= 1e-13
+
+
+def test_large_rate_strict_table_normalizes():
+    # a tables-grid triple with burst rate 3030, m = 242: a rate that
+    # disagrees with the jump weights in its last bits would move the
+    # total mass by 1e-12
+    table = bp.build_pmf_table(bp.validate(478.81202009967103, 2.0, 0.004132231404958678))
+    assert table.tail_mass <= 1e-12
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+
+
+def test_order_one_over_200_past_factorial_overflow():
+    # theta**k / k! overflows past k = 170; the oracle assembles it exactly
+    params = bp.validate(50.0, 2.0, 1.0 / 200)
+    for k in (171, 200):
+        assert bp.pmf(k, params) == pytest.approx(_oracle_pmf(k, 50.0, 2.0, 1.0 / 200), rel=1e-12)
+
+
+def test_near_radius_general_order_against_oracle():
+    # lam*theta = 0.997: the Cauchy radius is 1.003 and the cutoff near
+    # 12,000; masses alternate in sign far out and are clamped there
+    alpha, theta, lam = 42.795017938700305, 2.0, 0.4985392293755286
+    params = bp.validate(alpha, theta, lam)
+    assert params.validity is Validity.ASYMPTOTIC
+    table = bp.build_pmf_table(params, 1e-12)
+    assert table.support_max > 10_000
+    assert table.tail_mass <= 1e-12
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+    mode = float(table.probs.max())
+    for k in (0, 10, 100, 200, 300):
+        oracle = _oracle_pmf(k, alpha, theta, lam)
+        if oracle >= 1e-10 * mode:
+            assert bp.pmf(k, params) == pytest.approx(oracle, rel=1e-12)
+        else:
+            assert abs(bp.pmf(k, params) - oracle) <= 1e-20
+
+
+def test_clamped_negative_mass_counts_against_tail_tol():
+    # a tables-grid triple whose signed masses dip just below 0 several
+    # times: clamped, they would push the total mass past 1 + tail_tol
+    try:
+        table = bp.build_pmf_table(bp.validate(2.6032474385474034, 0.5, 0.8104869695997854))
+    except BellprocError:
+        return
+    assert table.probs.min() >= 0.0
+    assert table.tail_mass <= 1e-12
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+
+
+def test_general_order_refused_at_radius_one():
+    # lam*theta >= 1 for non-reciprocal lam: no radius above 1 to certify
+    with pytest.raises(ParameterError, match="radius"):
+        bp.validate(1.0, 2.0, 0.6)
+
+
+def test_recurrence_budget_refuses_before_building():
+    with pytest.raises(ConvergenceError, match="K ="):
+        bp.build_pmf_table(bp.validate(1e12, 1.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# fuzzed surface: every input ends in a BellprocError or a certified law
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 1.0, 1e12, 1e300,
+     1.7976931348623157e308, math.inf, -math.inf, math.nan, -1.0]
+)
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(1e-3, 1e3), st.floats())
+
+
+@st.composite
+def _triples(draw):
+    alpha = draw(_FLOATS)
+    near_reciprocal = st.builds(
+        lambda m, e: 1.0 / m + e, st.integers(1, 10**6), st.floats(-1e-9, 1e-9)
+    )
+    lam = draw(st.one_of(_FLOATS, st.floats(0.0, 1.0), near_reciprocal))
+    near_radius = st.floats(-1e-6, 1e-6).map(lambda e: (1.0 + e) / lam if lam else e)
+    theta = draw(st.one_of(_FLOATS, near_radius))
+    return alpha, theta, lam
+
+
+@given(_triples())
+@settings(max_examples=60, deadline=timedelta(seconds=10))
+def test_distribution_surface_fuzz(triple):
+    try:
+        params = bp.validate(*triple)
+        table = bp.build_pmf_table(params)
+        law = bp.decompose(params) if params.validity is Validity.STRICT else None
+    except BellprocError:
+        return
+    assert table.probs.min() >= 0.0
+    assert 0.0 <= table.tail_mass <= 1e-12
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+    if law is not None:
+        assert law.support_bound == len(law.jump_probs) <= params.reciprocal_order
+        assert law.jump_probs.min() >= 0.0
+        assert abs(math.fsum(law.jump_probs) - 1.0) <= 1e-12
 
 
 # ----------------------------------------------------------------------
