@@ -5,8 +5,9 @@ counting distribution (an overdispersed, batch-arrival generalization
 of the Poisson law) and its continuous-time counting process, with
 exact special-function kernels, certified truncated tables, two
 independent samplers, path simulation, and a built-in verification
-battery exposed through the ``bellproc`` command line tool.  Only the
-battery (``bellproc.verify``) imports scipy.
+battery exposed through the ``bellproc`` command line tool.  numpy is
+the only dependency: the battery (``bellproc.verify``) computes its own
+chi-square, Poisson and Kolmogorov-Smirnov references.
 """
 
 from .distribution import (
@@ -33,6 +34,7 @@ from .errors import (
     ConvergenceError,
     IncompatibleParametersError,
     ParameterError,
+    RangeError,
     TailSliverError,
 )
 from .process import (
@@ -79,6 +81,7 @@ __all__ = [
     "ParameterError",
     "PathEnsemble",
     "PmfTable",
+    "RangeError",
     "RngStream",
     "SamplePath",
     "StirlingTable",

@@ -20,11 +20,16 @@ import numpy as np
 
 from . import distribution as dist
 from . import process as proc
-from .errors import BellprocError
+from .errors import BellprocError, ParameterError
 from .sampling import RngStream, sample_compound, sample_inverse_cdf
 from .verify import DEFAULT_SEED, PERTURBABLE, run_verification
 
 SEED_ENV_VAR = "BELLPROC_SEED"
+
+# `sample --n` past this many variates is refused before anything is
+# drawn, as process.SIMULATION_BUDGET refuses paths; rendering the
+# values as text peaks at about 130 bytes per variate.
+SAMPLE_BUDGET = 10_000_000
 
 
 @dataclass
@@ -257,6 +262,10 @@ def _cmd_moments(cfg: RunConfig) -> int:
 
 
 def _cmd_sample(cfg: RunConfig) -> int:
+    if cfg.n_samples > SAMPLE_BUDGET:
+        raise ParameterError(
+            f"--n {cfg.n_samples} exceeds the sample budget of {SAMPLE_BUDGET} variates"
+        )
     params = dist.validate(cfg.alpha, cfg.theta, cfg.lam)
     rng = RngStream(cfg.seed)
     if cfg.method == "compound":
@@ -368,9 +377,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except BellprocError as exc:
         print(f"bellproc: error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        print(f"bellproc: numeric overflow: {exc}", file=sys.stderr)
         return 2
 
 

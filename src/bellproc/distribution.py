@@ -44,9 +44,10 @@ from .errors import (
     ConvergenceError,
     IncompatibleParametersError,
     ParameterError,
+    RangeError,
     TailSliverError,
 )
-from .special import RECIPROCAL_INT_TOL, degenerate_exp
+from .special import RECIPROCAL_INT_TOL
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -64,6 +65,9 @@ _STEP_COST = 10_000
 # The recurrence keeps its working values within [1/_SCALE_LIMIT,
 # _SCALE_LIMIT] by moving the log scale.
 _SCALE_LIMIT = 1e150
+
+# exp overflows past this.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Validity(Enum):
@@ -98,7 +102,7 @@ def _is_reciprocal_integer(lam: float) -> bool:
 def _log_e(lam: float, x: float) -> float:
     """log e_lam(x) = log1p(lam*x) / lam; x itself where lam*x underflows."""
     y = lam * x
-    return math.log1p(y) / lam if y > 1e-300 else x
+    return math.log1p(y) / lam if abs(y) > 1e-300 else x
 
 
 def burst_rate(alpha: float, theta: float, lam: float) -> float:
@@ -363,7 +367,16 @@ def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     tail by tail_tol/2.  Masses in (-NEGATIVE_MASS_TOL, 0) are clamped
     to 0; their total counts against tail_tol with the certified tail,
     and ParameterError is raised when the two exceed it.
+
+    An asymptotic law at the default tail_tol is the table validate
+    built and cached, read back rather than built again.
     """
+    if params.validity is Validity.ASYMPTOTIC and tail_tol == DEFAULT_TAIL_TOL:
+        return _cached_table(params, tail_tol)
+    return _build_pmf_table(params, tail_tol)
+
+
+def _build_pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     certified = tail_tol / 2.0
@@ -387,7 +400,7 @@ def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
 
 @lru_cache(maxsize=128)
 def _cached_table(params: DegenParams, tail_tol: float) -> PmfTable:
-    return build_pmf_table(params, tail_tol)
+    return _build_pmf_table(params, tail_tol)
 
 
 def cdf(k: int, params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
@@ -406,38 +419,69 @@ def quantile(u: float, params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) 
 # Generating functions and moments (closed forms).
 
 
-def pgf(t: float, params: DegenParams) -> float:
-    """Probability generating function exp(alpha*(e_lam(theta*t) - e_lam(theta)))."""
+def _log_pgf(t: float, params: DegenParams) -> float:
+    """log pgf(t) = alpha*(e_lam(theta*t) - e_lam(theta)), formed from the
+    logs of its two terms so that neither overflows on its own; -inf or
+    inf only where the difference itself is past the double range."""
     alpha, theta, lam = params.alpha, params.theta, params.lam
-    return math.exp(
-        alpha * (degenerate_exp(1.0, lam, theta * t) - degenerate_exp(1.0, lam, theta))
-    )
+    if not 1.0 + lam * theta * t > 0.0:
+        raise ParameterError(
+            f"pgf outside the principal branch: 1 + lam*theta*t = {1.0 + lam * theta * t} <= 0"
+        )
+    at_t, at_one = _log_e(lam, theta * t), _log_e(lam, theta)
+    if at_t == at_one:
+        return 0.0
+    top, gap = max(at_t, at_one), abs(at_t - at_one)
+    log_size = math.log(alpha) + top + math.log(-math.expm1(-gap))
+    size = math.exp(log_size) if log_size < _LOG_MAX else math.inf
+    return size if at_t > at_one else -size
+
+
+def _exp_finite(log_value: float, what: str) -> float:
+    """exp(log_value) for a quantity whose true value is finite: 0.0 where
+    it underflows, RangeError where it is past the largest double."""
+    if not log_value < _LOG_MAX:
+        raise RangeError(f"{what} = exp({log_value:.6g}) is past the largest double")
+    return math.exp(log_value)
+
+
+def pgf(t: float, params: DegenParams) -> float:
+    """Probability generating function exp(alpha*(e_lam(theta*t) - e_lam(theta))).
+
+    0.0 where it underflows; RangeError where it is past the largest double.
+    """
+    return _exp_finite(_log_pgf(t, params), f"pgf({t})")
 
 
 def mgf(t: float, params: DegenParams) -> float:
     """Moment generating function; identically pgf evaluated at exp(t).
 
-    Raises OverflowError for t large enough to overflow the double
-    range (reported rather than silently saturated).
+    Raises RangeError (a ParameterError and an OverflowError) where the
+    value, or exp(t) itself, is past the largest double.
     """
-    return pgf(math.exp(t), params)
+    return pgf(_exp_finite(t, "exp(t)"), params)
+
+
+def _log_mean(params: DegenParams) -> float:
+    alpha, theta, lam = params.alpha, params.theta, params.lam
+    return math.log(theta) + math.log(alpha) + (1.0 - lam) * _log_e(lam, theta)
 
 
 def mean(params: DegenParams) -> float:
-    """Closed-form expectation theta * alpha * e_lam^(1-lam)(theta)."""
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    return theta * alpha * degenerate_exp(1.0 - lam, lam, theta)
+    """Closed-form expectation theta * alpha * e_lam^(1-lam)(theta).
+
+    Taken from its log: 0.0 where it underflows, RangeError where it is
+    past the largest double.
+    """
+    return _exp_finite(_log_mean(params), "mean")
 
 
 def variance(params: DegenParams) -> float:
-    """Closed-form variance; exceeds the mean whenever lam < 1."""
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    return (
-        theta
-        * alpha
-        * (1.0 + theta * (1.0 - lam) * degenerate_exp(-lam, lam, theta))
-        * degenerate_exp(1.0 - lam, lam, theta)
-    )
+    """Closed-form variance mean * (1 + theta*(1-lam)/(1 + lam*theta));
+    exceeds the mean whenever lam < 1.  Bounds as for mean."""
+    theta, lam = params.theta, params.lam
+    excess = theta * (1.0 - lam) / (1.0 + lam * theta)
+    return _exp_finite(_log_mean(params) + math.log1p(excess), "variance")
 
 
 def convolve(p1: DegenParams, p2: DegenParams) -> DegenParams:

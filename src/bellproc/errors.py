@@ -10,6 +10,12 @@ class ParameterError(BellprocError, ValueError):
     (0, 1], argument outside the principal branch, ...)."""
 
 
+class RangeError(ParameterError, OverflowError):
+    """A closed form's finite value lies past the largest double, so it
+    cannot be returned; an OverflowError too, as that is what such a
+    value raises in plain float arithmetic."""
+
+
 class IncompatibleParametersError(BellprocError, ValueError):
     """Two laws or paths cannot be combined: the family is closed under
     sums only when the scale parameter theta and the order lambda agree."""

@@ -29,10 +29,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distribution import DegenParams, JumpLaw, Validity, _exp_series, decompose, validate
+from .distribution import (
+    DegenParams,
+    JumpLaw,
+    Validity,
+    _exp_series,
+    _log_pgf,
+    decompose,
+    validate,
+)
 from .errors import IncompatibleParametersError, ParameterError
 from .sampling import RngStream, sample_jump, sample_poisson
-from .special import degenerate_exp
 
 
 @dataclass(frozen=True)
@@ -351,12 +358,8 @@ def laplace_functional(params: DegenParams, t: float, x: float) -> float:
         raise ParameterError(f"t must be positive, got {t}")
     if x < 0.0:
         raise ParameterError(f"x must be >= 0, got {x}")
-    alpha, theta, lam = params.alpha, params.theta, params.lam
-    return math.exp(
-        alpha
-        * t
-        * (degenerate_exp(1.0, lam, math.exp(-x) * theta) - degenerate_exp(1.0, lam, theta))
-    )
+    # The exponent is t * log pgf(exp(-x)) <= 0, so this only underflows.
+    return math.exp(t * _log_pgf(math.exp(-x), params))
 
 
 def small_s_intensity(k: int, params: DegenParams, s: float) -> float:

@@ -25,7 +25,8 @@ from .errors import ConvergenceError, ParameterError
 
 # Linear-domain triangles lose headroom to overflow / digit loss well
 # before this; values past n ~ 100 with large x should not be trusted
-# blindly (the log-domain triangle below is the tool for big n).
+# blindly.  The masses of the law never come from a triangle: they come
+# from the recurrence in bellproc.distribution, at any n.
 MAX_TABLE_N = 200
 MAX_LOG_TABLE_N = 2000
 

@@ -4,7 +4,9 @@ Bundles every analytic identity and statistical property the library
 promises into one reproducible run: special-function identities,
 table coherence (normalization, generating functions, moments,
 convolution), sampler cross-validation, and path-level goodness of
-fit.  Used by ``bellproc verify`` and mirrored by the test suite.
+fit.  Used by ``bellproc verify`` and mirrored by the test suite.  The
+reference distributions of its tests (chi-square, Poisson, the exact
+Kolmogorov-Smirnov law) are computed here from numpy and math alone.
 
 A named reference value can be deliberately perturbed (multiplied by a
 factor) to demonstrate that the harness actually fails when the
@@ -19,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import distribution as dist
 from . import process as proc
@@ -103,6 +104,160 @@ def _check_ge(name: str, statistic: float, threshold: float) -> CheckResult:
 
 
 # ----------------------------------------------------------------------
+# Reference distributions.
+
+# Relative step below which the series and continued fraction stop, and
+# the floor Lentz's method puts under vanishing denominators.
+_EPS = 1e-16
+_TINY = 1e-300
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(chi2_dof > x): the regularized incomplete gamma
+    Q(dof/2, x/2).
+
+    Below a + 1 the power series of P(a, y) (DLMF 8.11.4), above it the
+    continued fraction of Q(a, y) (DLMF 8.9.2) by Lentz's method; each
+    is the one that converges fast, without cancellation, on its side.
+    """
+    a, y = dof / 2.0, x / 2.0
+    if not y > 0.0:
+        return 1.0
+    log_prefix = a * math.log(y) - y - math.lgamma(a)
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= y / n
+            total += term
+        return 1.0 - total * math.exp(log_prefix)
+    b = y + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return math.exp(log_prefix) * h
+
+
+def contingency_pvalue(tab: np.ndarray) -> float:
+    """Pearson's chi-square test of independence on a table of counts
+    (no continuity correction), on (rows - 1)(columns - 1) dof."""
+    tab = np.asarray(tab, dtype=float)
+    expected = np.outer(tab.sum(axis=1), tab.sum(axis=0)) / tab.sum()
+    chi2 = float(((tab - expected) ** 2 / expected).sum())
+    return chi2_sf(chi2, (tab.shape[0] - 1) * (tab.shape[1] - 1))
+
+
+# A matrix power keeps only entries within this factor of its largest:
+# products of two kept entries then stay normal doubles.  Left in, the
+# tiny entries fill the matrices with subnormals, which made a call at
+# n = 11,984 take about 220 ms instead of 3 ms on a Xeon.
+_KS_FLUSH = 2.0**-500
+
+
+def _normalized(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a scaled by a power of two to largest magnitude in [1/2, 1), with
+    the power's exponent; entries below _KS_FLUSH are set to 0."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, -e)
+    a[np.abs(a) < _KS_FLUSH] = 0.0
+    return a, e
+
+
+def _ks_cdf(d: float, n: int) -> float:
+    """P(D_n < d) for the two-sided statistic of n uniforms, exactly:
+    (n!/n**n) (H**n)[k, k] (Marsaglia, Tsang and Wang 2003).
+
+    With n*d = k - h, 0 <= h < 1, H is the m = 2k - 1 square matrix of
+    1/(i - j + 1)! corrected along its first column and last row.  The
+    power runs by squaring, applied to row k alone, each factor carried
+    as a scaled matrix and a binary exponent; the cost is
+    O(m**3 log n).
+    """
+    nd = n * d
+    if nd <= 0.5:
+        return 0.0
+    k = math.ceil(nd)
+    h = k - nd
+    m = 2 * k - 1
+    inv_fact = np.concatenate(([1.0], np.cumprod(1.0 / np.arange(1, m + 1))))
+    idx = np.arange(m)
+    g = idx[:, None] - idx[None, :] + 1
+    H = np.where(g >= 0, inv_fact[np.clip(g, 0, m)], 0.0)
+    v = (1.0 - h ** np.arange(1, m + 1)) * inv_fact[1:]
+    H[:, 0] = v
+    H[-1, :] = v[::-1]
+    H[-1, 0] = (1.0 - 2.0 * h**m + max(2.0 * h - 1.0, 0.0) ** m) * inv_fact[m]
+    H, h_exp = _normalized(H)
+    row = np.zeros(m)
+    row[k - 1] = 1.0
+    row_exp = 0
+    bits = n
+    while True:
+        if bits & 1:
+            row, e = _normalized(row @ H)
+            row_exp += h_exp + e
+        bits >>= 1
+        if not bits:
+            break
+        H, e = _normalized(H @ H)
+        h_exp = 2 * h_exp + e
+    if row[k - 1] == 0.0:
+        return 0.0
+    log_scale = math.fsum(np.log(np.arange(1, n + 1) / n))  # log(n!/n**n)
+    return math.exp(math.log(row[k - 1]) + row_exp * math.log(2.0) + log_scale)
+
+
+def _smirnov_sf(d: float, n: int) -> float:
+    """P(D+_n >= d) for the one-sided statistic: the Birnbaum-Tingey sum
+    d * sum_j C(n, j) (1 - d - j/n)**(n-j) (d + j/n)**(j-1), of positive
+    terms, summed from their logs."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    u = d + j / n
+    with np.errstate(divide="ignore"):
+        logs = (
+            log_fact[n] - log_fact[j] - log_fact[n - j]
+            + (n - j) * np.log1p(-u) + (j - 1) * np.log(u) + math.log(d)
+        )
+    top = float(logs.max())
+    return math.exp(top + math.log(float(np.exp(logs - top).sum())))
+
+
+def ks_sf(d: float, n: int) -> float:
+    """P(D_n >= d) for the two-sided Kolmogorov-Smirnov statistic of n
+    observations, split as Simard and L'Ecuyer (2011): the exact law
+    below n*d**2 = 2.2; 2 P(D+_n >= d) from there, where the chance that
+    both sides exceed d is at most about 2e-6 of the answer; 0 from 370
+    on, where the answer is below 2 exp(-740), about 1e-321."""
+    x = n * d * d
+    if x >= 370.0 or d >= 1.0:
+        return 0.0
+    if x >= 2.2:
+        return min(2.0 * _smirnov_sf(d, n), 1.0)
+    return 1.0 - _ks_cdf(d, n)
+
+
+def ks_pvalue(cdf_values: np.ndarray) -> float:
+    """Two-sided KS p-value of a sample given its hypothesized cdf values."""
+    u = np.sort(cdf_values)
+    n = len(u)
+    d_plus = float((np.arange(1.0, n + 1) / n - u).max())
+    d_minus = float((u - np.arange(0.0, n) / n).max())
+    return ks_sf(max(d_plus, d_minus), n)
+
+
+# ----------------------------------------------------------------------
 # Chi-square helpers (right tail merged so expected counts stay sane).
 
 
@@ -132,7 +287,7 @@ def chisq_pvalue_vs_table(samples: np.ndarray, table: dist.PmfTable) -> float:
     obs_m, exp_m = merge_tail_counts(obs, exp)
     exp_m *= obs_m.sum() / exp_m.sum()
     chi2 = float(((obs_m - exp_m) ** 2 / exp_m).sum())
-    return float(stats.chi2.sf(chi2, len(obs_m) - 1))
+    return chi2_sf(chi2, len(obs_m) - 1)
 
 
 def chisq_pvalue_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -151,8 +306,7 @@ def chisq_pvalue_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     tab = np.vstack([ca_m[keep], cb_m[keep]])
     if tab.shape[1] < 2:
         return 1.0
-    _, p, _, _ = stats.chi2_contingency(tab, correction=False)
-    return float(p)
+    return contingency_pvalue(tab)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +430,9 @@ def _dist_checks(perturb: dict[str, float]) -> list[CheckResult]:
             p = validate(a, th, 1.0)
             t = tables[p]
             k = np.arange(len(t.probs))
-            ref = stats.poisson.pmf(k, a * th)
+            mu = a * th
+            log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+            ref = np.exp(k * math.log(mu) - mu - log_fact)
             worst = max(worst, float(np.abs(t.probs - ref).max()))
     out.append(_check_le("dist.poisson_collapse", worst, 1e-13))
 
@@ -443,7 +599,7 @@ def _process_checks(seed: int) -> list[CheckResult]:
     all_unit = 1.0 if (long_path.sizes == 1).all() else 0.0
     out.append(_check_ge("process.order_one_unit_jumps", all_unit, 1.0))
     gaps = np.diff(np.concatenate([[0.0], long_path.times]))
-    ks_p = float(stats.kstest(gaps, "expon", args=(0.0, 1.0 / 1.5)).pvalue)
+    ks_p = ks_pvalue(-np.expm1(-gaps / (1.0 / 1.5)))
     out.append(_check_ge("process.order_one_gap_ks_p", ks_p, 0.001))
     return out
 

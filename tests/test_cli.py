@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import bellproc as bp
-from bellproc.cli import main
+from bellproc.cli import SAMPLE_BUDGET, main
 
 BASE = [sys.executable, "-m", "bellproc"]
 
@@ -96,6 +96,14 @@ def test_moments_burst_rate_example():
     assert record["burst_rate"] == pytest.approx(1.25)
 
 
+def test_moments_past_the_double_range_is_a_parameter_error(capsys):
+    # a strict law whose mean is past the largest double
+    code = main(["moments", "--alpha", "1", "--theta", "1e10", "--lambda", "0.01"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bellproc: error:") and "largest double" in err
+
+
 # ----------------------------------------------------------------------
 # sample
 
@@ -147,6 +155,14 @@ def test_sample_compound_rejects_general_order():
 def test_sample_rejects_bad_n():
     out = run_cli("sample", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--n", "0")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("n", [SAMPLE_BUDGET + 1, 10**30])
+def test_sample_refuses_n_past_budget(capsys, n):
+    code = main(["sample", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--n", str(n)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bellproc: error:") and "budget" in err
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,11 @@ from bellproc import (
     ConvergenceError,
     IncompatibleParametersError,
     ParameterError,
+    RangeError,
     TailSliverError,
     Validity,
 )
+from bellproc import distribution as dist
 
 GRID = [
     bp.validate(a, th, lam)
@@ -237,6 +239,7 @@ def test_pgf_at_zero_equals_mass_at_zero():
 def test_pgf_half_order_value():
     p = bp.validate(1.0, 1.0, 0.5)
     assert bp.pgf(0.5, p) == pytest.approx(math.exp(1.5625 - 2.25), rel=1e-14)
+    assert bp.pgf(-0.5, p) == pytest.approx(math.exp(0.5625 - 2.25), rel=1e-14)
 
 
 def test_pgf_series_consistency():
@@ -274,6 +277,32 @@ def test_mgf_derivative_is_mean():
 def test_mgf_overflow_reported():
     with pytest.raises(OverflowError):
         bp.mgf(500.0, bp.validate(1, 1, 0.5))
+
+
+def test_closed_forms_past_the_double_range():
+    # e_lam(theta) = (1 + 1e8)**100 overflows, yet the law is strict
+    p = bp.validate(1.0, 1e10, 0.01)
+    for closed_form in (bp.mean, bp.variance):
+        with pytest.raises(RangeError):
+            closed_form(p)
+    # log pgf(t) = e_lam(1e10 t) - e_lam(1e10): 0 at t = 1, hugely
+    # negative below (the value underflows), hugely positive above
+    assert bp.pgf(1.0, p) == 1.0 and bp.mgf(0.0, p) == 1.0
+    assert bp.pgf(0.5, p) == 0.0 and bp.mgf(-1.0, p) == 0.0
+    for t in (1.5, 1e300):
+        with pytest.raises(RangeError):
+            bp.pgf(t, p)
+    for t in (0.1, 710.0):  # exp(710) alone is past the largest double
+        with pytest.raises(RangeError):
+            bp.mgf(t, p)
+    assert bp.laplace_functional(p, 1.0, 0.0) == 1.0
+    assert bp.laplace_functional(p, 1.0, 0.5) == 0.0
+    assert issubclass(RangeError, ParameterError)
+
+
+def test_moments_underflow_to_zero():
+    p = bp.validate(5e-324, 1e-10, 1.0)  # mean 5e-334
+    assert bp.mean(p) == 0.0 and bp.variance(p) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -532,6 +561,22 @@ def test_general_order_refused_at_radius_one():
 def test_recurrence_budget_refuses_before_building():
     with pytest.raises(ConvergenceError, match="K ="):
         bp.build_pmf_table(bp.validate(1e12, 1.0, 1.0))
+
+
+def test_asymptotic_build_reads_the_table_validate_cached(monkeypatch):
+    calls = []
+    recurrence = dist._masses
+    monkeypatch.setattr(dist, "_masses", lambda *args: calls.append(args) or recurrence(*args))
+    dist._cached_table.cache_clear()
+    params = bp.validate(42.795017938700305, 2.0, 0.4996)
+    table = bp.build_pmf_table(params)
+    assert len(calls) == 1
+    assert table is dist._cached_table(params, dist.DEFAULT_TAIL_TOL)
+    # other tolerances, and strict laws, are built afresh and not cached
+    bp.build_pmf_table(params, 1e-10)
+    bp.build_pmf_table(bp.validate(1.0, 1.0, 0.5))
+    assert len(calls) == 3
+    assert dist._cached_table.cache_info().currsize == 1
 
 
 # ----------------------------------------------------------------------

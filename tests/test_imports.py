@@ -1,16 +1,38 @@
-"""Import hygiene: the library runs on numpy alone."""
+"""Import hygiene: the library, its CLI and its battery run on numpy alone."""
 
 import subprocess
 import sys
 
 
-def test_import_loads_no_scipy():
-    # only bellproc.verify needs scipy; importing the package must not
-    # pull it in
-    code = (
-        "import bellproc, sys; "
+def _run(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+def _scipy_modules_after(statement):
+    out = _run(
+        f"{statement}; import sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import bellproc") == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # every bellproc command imports the CLI, the battery included
+    assert _scipy_modules_after("import bellproc.cli") == "[]"
+
+
+def test_verify_runs_with_scipy_unimportable():
+    # a None entry in sys.modules makes every `import scipy...` fail
+    out = _run(
+        "import sys; sys.modules['scipy'] = None; "
+        "from bellproc.cli import main; "
+        "sys.exit(main(['verify', '--seed', '12345']))"
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 29 and all(line.startswith("PASS ") for line in lines)
