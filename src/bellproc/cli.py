@@ -5,16 +5,20 @@ summary plus the jump law), ``sample`` (variate stream), ``simulate``
 (trajectories), ``verify`` (the full battery).  All output is
 deterministic for a fixed seed; CSV for tabular data, JSON for
 reports.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parameter error.
+parameter error.  A usage error (an unparseable number, a missing flag,
+a bad choice) prints argparse's usage text; a parameter error is one
+``bellproc: error: ...`` line on stderr, raised by the library call
+that owns the rule.  ``sample --n`` must lie in [1, SAMPLE_BUDGET], and
+``--seed`` (or ``$BELLPROC_SEED``) must be non-negative.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,25 +34,6 @@ SEED_ENV_VAR = "BELLPROC_SEED"
 # drawn, as process.SIMULATION_BUDGET refuses paths; rendering the
 # values as text peaks at about 130 bytes per variate.
 SAMPLE_BUDGET = 10_000_000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    alpha: float = 1.0
-    theta: float = 1.0
-    lam: float = 1.0
-    t: float = 1.0
-    horizon: float = 1.0
-    n_samples: int = 1
-    n_paths: int = 1
-    seed: int = DEFAULT_SEED
-    method: str = "inverse-cdf"
-    tail_tol: float = dist.DEFAULT_TAIL_TOL
-    output_format: str = "csv"
-    output_path: str | None = None
-    marginal: float | None = None
-    perturb: dict[str, float] = field(default_factory=dict)
 
 
 def _float(text: str) -> float:
@@ -91,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=None,
-            help=f"64-bit seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
+            help=f"non-negative seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
         )
 
     p_table = sub.add_parser("table", help="tabulate k, pmf, cdf with the certified tail")
@@ -153,70 +138,24 @@ def _resolve_seed(parser: argparse.ArgumentParser, value: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _make_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "alpha",
-        "theta",
-        "lam",
-        "t",
-        "horizon",
-        "n_samples",
-        "n_paths",
-        "method",
-        "tail_tol",
-        "output_format",
-        "output_path",
-        "marginal",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "seed"):
-        cfg.seed = _resolve_seed(parser, args.seed)
-    if getattr(args, "perturb", None):
-        for name, factor in args.perturb:
-            if name not in PERTURBABLE:
-                parser.error(f"unknown perturbation target {name!r}; choose from {PERTURBABLE}")
-            try:
-                cfg.perturb[name] = float(factor)
-            except ValueError:
-                parser.error(f"perturbation factor must be a decimal number, got {factor!r}")
-    # Reject out-of-domain numerics before any computation runs.
-    if cfg.command in ("table", "moments", "sample", "simulate"):
-        if not cfg.alpha > 0:
-            parser.error(f"--alpha must be > 0, got {cfg.alpha}")
-        if not cfg.theta > 0:
-            parser.error(f"--theta must be > 0, got {cfg.theta}")
-        if not 0 < cfg.lam <= 1:
-            parser.error(f"--lambda must lie in (0, 1], got {cfg.lam}")
-    if cfg.command in ("table", "moments") and not cfg.t > 0:
-        parser.error(f"--t must be > 0, got {cfg.t}")
-    if cfg.command == "sample" and cfg.n_samples < 1:
-        parser.error(f"--n must be >= 1, got {cfg.n_samples}")
-    if cfg.command == "simulate":
-        if not cfg.horizon > 0:
-            parser.error(f"--horizon must be > 0, got {cfg.horizon}")
-        if cfg.n_paths < 1:
-            parser.error(f"--paths must be >= 1, got {cfg.n_paths}")
-        if cfg.marginal is not None and not 0 <= cfg.marginal <= cfg.horizon:
-            parser.error(f"--marginal must lie in [0, horizon], got {cfg.marginal}")
-    if not 0 < cfg.tail_tol < 1:
-        parser.error(f"--tail-tol must lie in (0, 1), got {cfg.tail_tol}")
-    return cfg
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output_path is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
+        with open(args.output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    params = dist.validate(cfg.alpha * cfg.t, cfg.theta, cfg.lam)
-    table = dist.build_pmf_table(params, cfg.tail_tol)
-    if cfg.output_format == "json":
+def _law_at_t(args: argparse.Namespace) -> dist.DegenParams:
+    """The marginal law at process time --t: rate parameter alpha * t."""
+    if not (args.t > 0.0 and math.isfinite(args.t)):
+        raise ParameterError(f"--t must be positive and finite, got {args.t}")
+    return dist.validate(args.alpha * args.t, args.theta, args.lam)
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = dist.build_pmf_table(_law_at_t(args), args.tail_tol)
+    if args.output_format == "json":
         payload = json.loads(table.to_json())
         payload["cdf"] = [float(c) for c in table.cumulative]
         text = json.dumps(payload, indent=2) + "\n"
@@ -227,18 +166,16 @@ def _cmd_table(cfg: RunConfig) -> int:
             lines.append(f"{k},{float(p)!r},{float(cum[k])!r}")
         lines.append(f"tail_mass,{table.tail_mass!r},")
         text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
-    params = dist.validate(cfg.alpha * cfg.t, cfg.theta, cfg.lam)
-    mu = dist.mean(params)
-    var = dist.variance(params)
+def _cmd_moments(args: argparse.Namespace) -> int:
+    params = _law_at_t(args)
     record: dict[str, object] = {
-        "mean": mu,
-        "variance": var,
-        "dispersion_ratio": var / mu,
+        "mean": dist.mean(params),
+        "variance": dist.variance(params),
+        "dispersion_ratio": 1.0 + dist._excess_dispersion(params),
         "burst_rate": dist.burst_rate(params.alpha, params.theta, params.lam),
         "validity": params.validity.value,
     }
@@ -246,7 +183,7 @@ def _cmd_moments(cfg: RunConfig) -> int:
     if params.validity is dist.Validity.STRICT:
         law = dist.decompose(params)
         jump_probs = [float(p) for p in law.jump_probs]
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         record["jump_probs"] = jump_probs
         text = json.dumps(record, indent=2) + "\n"
     else:
@@ -257,31 +194,32 @@ def _cmd_moments(cfg: RunConfig) -> int:
         for k, p in enumerate(jump_probs, start=1):
             lines.append(f"jump_prob_{k},{p!r}")
         text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_sample(cfg: RunConfig) -> int:
-    if cfg.n_samples > SAMPLE_BUDGET:
+def _cmd_sample(args: argparse.Namespace) -> int:
+    if not 1 <= args.n_samples <= SAMPLE_BUDGET:
         raise ParameterError(
-            f"--n {cfg.n_samples} exceeds the sample budget of {SAMPLE_BUDGET} variates"
+            f"--n must lie in [1, {SAMPLE_BUDGET}] (the sample budget), got {args.n_samples}"
         )
-    params = dist.validate(cfg.alpha, cfg.theta, cfg.lam)
-    rng = RngStream(cfg.seed)
-    if cfg.method == "compound":
+    params = dist.validate(args.alpha, args.theta, args.lam)
+    rng = RngStream(args.seed)
+    if args.method == "compound":
+        dist._check_tail_tol(args.tail_tol)  # no table is built to check it
         law = dist.decompose(params)  # rejects non-strict parameters
-        draws = sample_compound(law, rng, cfg.n_samples)
+        draws = sample_compound(law, rng, args.n_samples)
     else:
-        table = dist.build_pmf_table(params, cfg.tail_tol)
-        draws = sample_inverse_cdf(table, rng, cfg.n_samples)
+        table = dist.build_pmf_table(params, args.tail_tol)
+        draws = sample_inverse_cdf(table, rng, args.n_samples)
     emp_mean = float(draws.mean())
     emp_var = float(draws.var())
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         text = (
             json.dumps(
                 {
-                    "seed": cfg.seed,
-                    "method": cfg.method,
+                    "seed": args.seed,
+                    "method": args.method,
                     "samples": [int(v) for v in draws],
                     "empirical_mean": emp_mean,
                     "empirical_variance": emp_var,
@@ -295,27 +233,27 @@ def _cmd_sample(cfg: RunConfig) -> int:
         lines.append(f"# empirical_mean={emp_mean!r}")
         lines.append(f"# empirical_variance={emp_var!r}")
         text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    params = dist.validate(cfg.alpha, cfg.theta, cfg.lam)
-    paths = proc.simulate_paths(params, cfg.horizon, cfg.n_paths, RngStream(cfg.seed))
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    params = dist.validate(args.alpha, args.theta, args.lam)
+    paths = proc.simulate_paths(params, args.horizon, args.n_paths, RngStream(args.seed))
     hist = None
-    if cfg.marginal is not None:
-        hist = np.bincount(paths.counts_at([cfg.marginal])[:, 0]).tolist()
+    if args.marginal is not None:
+        hist = np.bincount(paths.counts_at([args.marginal])[:, 0]).tolist()
     times, sizes = paths.times.tolist(), paths.sizes.tolist()
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         bounds = paths.offsets.tolist()
         head = {
             "alpha": params.alpha,
             "theta": params.theta,
             "lambda": params.lam,
-            "horizon": cfg.horizon,
+            "horizon": args.horizon,
         }
         payload: dict[str, object] = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "paths": [
                 {**head, "times": times[a:b], "sizes": sizes[a:b]}
                 for a, b in zip(bounds, bounds[1:])
@@ -323,13 +261,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         }
         if hist is not None:
             payload["marginal"] = {
-                "t": cfg.marginal,
+                "t": args.marginal,
                 "histogram": {str(k): c for k, c in enumerate(hist) if c},
             }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         rows = zip(times, sizes, paths.cumulative.tolist())
-        if cfg.n_paths == 1:
+        if args.n_paths == 1:
             lines = ["time,size,cumulative_count"]
             lines.extend(f"{t!r},{s},{c}" for t, s, c in rows)
         else:
@@ -342,14 +280,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             lines.append("k,count")
             lines.extend(f"{k},{c}" for k, c in enumerate(hist) if c)
         text = "\n".join(lines) + "\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    report = run_verification(seed=cfg.seed, perturb=cfg.perturb)
-    text = report.to_json() + "\n" if cfg.output_format == "json" else report.to_csv()
-    _emit(cfg, text)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = run_verification(seed=args.seed, perturb=args.perturb)
+    text = report.to_json() + "\n" if args.output_format == "json" else report.to_csv()
+    _emit(args, text)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -372,9 +310,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _make_config(parser, args)
+    if hasattr(args, "seed"):
+        args.seed = _resolve_seed(parser, args.seed)
+    if hasattr(args, "perturb"):
+        try:
+            args.perturb = {name: _float(factor) for name, factor in args.perturb}
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"--perturb FACTOR: {exc}")
+    # Out-of-domain values are refused by the library calls that own each rule.
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except BellprocError as exc:
         print(f"bellproc: error: {exc}", file=sys.stderr)
         return 2

@@ -376,9 +376,13 @@ def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     return _build_pmf_table(params, tail_tol)
 
 
-def _build_pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
+def _check_tail_tol(tail_tol: float) -> None:
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+
+
+def _build_pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
+    _check_tail_tol(tail_tol)
     certified = tail_tol / 2.0
     logs, negative = _masses(params, _cutoff(params, certified))
     probs = np.exp(logs)
@@ -476,12 +480,21 @@ def mean(params: DegenParams) -> float:
     return _exp_finite(_log_mean(params), "mean")
 
 
+def _excess_dispersion(params: DegenParams) -> float:
+    """variance/mean - 1 = theta*(1-lam)/(1 + lam*theta), free of the mean."""
+    theta, lam = params.theta, params.lam
+    return theta * (1.0 - lam) / (1.0 + lam * theta)
+
+
 def variance(params: DegenParams) -> float:
     """Closed-form variance mean * (1 + theta*(1-lam)/(1 + lam*theta));
     exceeds the mean whenever lam < 1.  Bounds as for mean."""
-    theta, lam = params.theta, params.lam
-    excess = theta * (1.0 - lam) / (1.0 + lam * theta)
-    return _exp_finite(_log_mean(params) + math.log1p(excess), "variance")
+    return _exp_finite(_log_mean(params) + math.log1p(_excess_dispersion(params)), "variance")
+
+
+def _same_family(p1: DegenParams, p2: DegenParams) -> bool:
+    """theta and lam agree: only then is a sum of laws or processes in the family."""
+    return abs(p1.theta - p2.theta) <= 1e-12 and abs(p1.lam - p2.lam) <= 1e-12
 
 
 def convolve(p1: DegenParams, p2: DegenParams) -> DegenParams:
@@ -490,7 +503,7 @@ def convolve(p1: DegenParams, p2: DegenParams) -> DegenParams:
     Only within the family: theta and lam must agree, otherwise the sum
     is not of this type and IncompatibleParametersError is raised.
     """
-    if abs(p1.theta - p2.theta) > 1e-12 or abs(p1.lam - p2.lam) > 1e-12:
+    if not _same_family(p1, p2):
         raise IncompatibleParametersError(
             "sum of laws with different theta or lam is not a degenerate Bell law "
             f"(theta {p1.theta} vs {p2.theta}, lam {p1.lam} vs {p2.lam})"

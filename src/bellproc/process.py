@@ -35,6 +35,7 @@ from .distribution import (
     Validity,
     _exp_series,
     _log_pgf,
+    _same_family,
     decompose,
     validate,
 )
@@ -323,10 +324,7 @@ def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEn
         raise ParameterError("need at least one path")
     first = paths[0]
     for p in paths[1:]:
-        if (
-            abs(p.params.theta - first.params.theta) > 1e-12
-            or abs(p.params.lam - first.params.lam) > 1e-12
-        ):
+        if not _same_family(p.params, first.params):
             raise IncompatibleParametersError(
                 "superposition of processes with different theta or lam is not "
                 "a degenerate Bell process"
@@ -354,10 +352,12 @@ def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEn
 
 def laplace_functional(params: DegenParams, t: float, x: float) -> float:
     """E[exp(-x * N(t))]: exp(alpha*t*(e_lam(exp(-x)*theta) - e_lam(theta)))."""
-    if t <= 0.0:
+    if not t > 0.0:  # also refuses nan
         raise ParameterError(f"t must be positive, got {t}")
     if x < 0.0:
         raise ParameterError(f"x must be >= 0, got {x}")
+    if x == 0.0:  # exp(-0 * N(t)) = 1, also for t = inf where t * 0 is nan
+        return 1.0
     # The exponent is t * log pgf(exp(-x)) <= 0, so this only underflows.
     return math.exp(t * _log_pgf(math.exp(-x), params))
 
@@ -368,7 +368,7 @@ def small_s_intensity(k: int, params: DegenParams, s: float) -> float:
     the degenerate exponential, 0 past m when lam = 1/m."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if s <= 0.0:
+    if not s > 0.0:  # also refuses nan
         raise ParameterError(f"s must be positive, got {s}")
     series = _exp_series(params, k)
     return params.alpha * s * float(series[k]) if k < len(series) else 0.0

@@ -21,7 +21,7 @@ from .errors import ParameterError
 class RngStream:
     """Deterministic, splittable random stream (PCG64 behind the scenes).
 
-    The same 64-bit seed always reproduces the same variate sequence.
+    The same non-negative seed always reproduces the same variate sequence.
     ``split(i)`` derives stream i, statistically independent of the
     parent and of every sibling; each stream must be owned by a single
     logical thread of execution.
@@ -32,6 +32,8 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(seq))
 

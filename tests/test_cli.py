@@ -104,6 +104,13 @@ def test_moments_past_the_double_range_is_a_parameter_error(capsys):
     assert err.startswith("bellproc: error:") and "largest double" in err
 
 
+def test_moments_dispersion_when_the_mean_underflows(capsys):
+    # mean and variance are 0.0; the ratio is the closed form 1 + theta*(1-lam)/(1+lam*theta)
+    assert main(["moments", "--alpha", "5e-324", "--theta", "1e-10", "--lambda", "1"]) == 0
+    record = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+    assert record["dispersion_ratio"] == "1.0"
+
+
 # ----------------------------------------------------------------------
 # sample
 
@@ -333,17 +340,73 @@ def test_verify_unknown_perturbation_is_usage_error():
 # usage errors
 
 
+LAW = ("--alpha", "1", "--theta", "1", "--lambda", "0.5")
+
+# (argv, the parameter its refusal names); None marks a syntax error,
+# which argparse reports with its usage text.
+USAGE_ERRORS = [
+    (("table", "--alpha", "-1", "--theta", "1", "--lambda", "1"), "alpha"),
+    (("table", "--alpha", "1", "--theta", "0", "--lambda", "1"), "theta"),
+    (("table", "--alpha", "1", "--theta", "1", "--lambda", "2"), "lam"),
+    (("table", "--alpha", "1", "--theta", "1", "--lambda", "0"), "lam"),
+    (("table", "--alpha", "x", "--theta", "1", "--lambda", "1"), None),
+    (("sample", "--alpha", "1", "--theta", "1", "--lambda", "0.6", "--n", "5"), "lam"),
+    (("moments",), None),
+    (("table", "--alpha", "0", "--theta", "1", "--lambda", "1"), "alpha"),
+    (("moments", "--alpha", "nan", "--theta", "1", "--lambda", "1"), "alpha"),
+    (("table", "--alpha", "1", "--theta", "-1", "--lambda", "1"), "theta"),
+    (("sample", "--alpha", "1", "--theta", "nan", "--lambda", "1", "--n", "5"), "theta"),
+    (("table", "--alpha", "1", "--theta", "1", "--lambda", "-1"), "lam"),
+    (("simulate", "--alpha", "1", "--theta", "1", "--lambda", "nan", "--horizon", "1"), "lam"),
+    (("table", *LAW, "--t", "0"), "--t"),
+    (("table", *LAW, "--t", "nan"), "--t"),
+    (("moments", *LAW, "--t", "-1"), "--t"),
+    (("moments", *LAW, "--t", "inf"), "--t"),
+    (("sample", *LAW, "--n", "0"), "--n"),
+    (("sample", *LAW, "--n", "-5"), "--n"),
+    (("simulate", *LAW, "--horizon", "0"), "horizon"),
+    (("simulate", *LAW, "--horizon", "-1"), "horizon"),
+    (("simulate", *LAW, "--horizon", "nan"), "horizon"),
+    (("simulate", *LAW, "--horizon", "1", "--paths", "0"), "n_paths"),
+    (("simulate", *LAW, "--horizon", "1", "--marginal", "-0.1"), "times"),
+    (("simulate", *LAW, "--horizon", "1", "--marginal", "nan"), "times"),
+    (("simulate", *LAW, "--horizon", "1", "--marginal", "2"), "times"),
+    (("table", *LAW, "--tail-tol", "0"), "tail_tol"),
+    (("table", *LAW, "--tail-tol", "1"), "tail_tol"),
+    (("table", *LAW, "--tail-tol", "nan"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--tail-tol", "0"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--tail-tol", "1"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--tail-tol", "nan"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--method", "compound", "--tail-tol", "0"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--method", "compound", "--tail-tol", "1"), "tail_tol"),
+    (("sample", *LAW, "--n", "5", "--method", "compound", "--tail-tol", "nan"), "tail_tol"),
+    (("verify", "--perturb", "skewness", "1.05"), "perturbation"),
+    (("verify", "--perturb", "variance", "x"), None),
+    (("sample", *LAW, "--n", "3", "--seed", "-1"), "seed"),
+    (("simulate", *LAW, "--horizon", "1", "--seed", "-3"), "seed"),
+    (("verify", "--seed", "-1"), "seed"),
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [
-        ("table", "--alpha", "-1", "--theta", "1", "--lambda", "1"),
-        ("table", "--alpha", "1", "--theta", "0", "--lambda", "1"),
-        ("table", "--alpha", "1", "--theta", "1", "--lambda", "2"),
-        ("table", "--alpha", "1", "--theta", "1", "--lambda", "0"),
-        ("table", "--alpha", "x", "--theta", "1", "--lambda", "1"),
-        ("sample", "--alpha", "1", "--theta", "1", "--lambda", "0.6", "--n", "5"),
-        ("moments",),
-    ],
+    "args, named", USAGE_ERRORS, ids=[f"args{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_usage_errors_exit_2(args):
-    assert run_cli(*args).returncode == 2
+def test_usage_errors_exit_2(capsys, args, named):
+    if named is None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        return
+    assert main(list(args)) == 2
+    out, err = capsys.readouterr()
+    # refused before anything is written, in one line that names the parameter
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("bellproc: error:") and named in err
+
+
+def test_negative_env_seed_is_a_parameter_error(capsys, monkeypatch):
+    monkeypatch.setenv("BELLPROC_SEED", "-1")
+    assert main(["sample", *LAW, "--n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("bellproc: error: seed")

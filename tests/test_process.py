@@ -406,7 +406,8 @@ def test_simulation_budget_refused_up_front(horizon, n_paths):
 
 
 def test_laplace_at_zero_is_one():
-    assert bp.laplace_functional(P_HALF, 1.0, 0.0) == 1.0
+    for t in (1.0, 1e300, math.inf):
+        assert bp.laplace_functional(P_HALF, t, 0.0) == 1.0
 
 
 def test_laplace_is_mgf_at_negative_argument():
@@ -429,10 +430,9 @@ def test_laplace_monte_carlo(ensemble):
 
 
 def test_laplace_domain():
-    with pytest.raises(bp.ParameterError):
-        bp.laplace_functional(P_HALF, 0.0, 0.5)
-    with pytest.raises(bp.ParameterError):
-        bp.laplace_functional(P_HALF, 1.0, -0.5)
+    for t, x in ((0.0, 0.5), (1.0, -0.5), (math.nan, 1.0), (math.nan, 0.0)):
+        with pytest.raises(bp.ParameterError):
+            bp.laplace_functional(P_HALF, t, x)
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +463,9 @@ def test_intensity_error_is_first_order():
 
 
 def test_intensity_domain():
-    with pytest.raises(bp.ParameterError):
-        bp.small_s_intensity(0, P_HALF, 0.1)
-    with pytest.raises(bp.ParameterError):
-        bp.small_s_intensity(1, P_HALF, 0.0)
+    for k, s in ((0, 0.1), (1, 0.0), (1, math.nan)):
+        with pytest.raises(bp.ParameterError):
+            bp.small_s_intensity(k, P_HALF, s)
 
 
 # ----------------------------------------------------------------------

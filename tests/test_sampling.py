@@ -35,6 +35,13 @@ def test_stream_split_reproducible_and_distinct():
     ).all()
 
 
+def test_stream_seed_must_be_non_negative():
+    with pytest.raises(bp.ParameterError):
+        bp.RngStream(-1)
+    # seeds past 64 bits are accepted, as numpy's SeedSequence takes them
+    assert bp.RngStream(2**64 + 5).random() != bp.RngStream(5).random()
+
+
 def test_stream_splits_statistically_independent():
     n = 200_000
     a = bp.RngStream(7).split(0).random(n)
