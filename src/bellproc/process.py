@@ -59,7 +59,7 @@ class SamplePath:
     sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:  # also refuses nan
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
         t, s = self.times, self.sizes
         if len(t) != len(s):
@@ -358,6 +358,8 @@ def laplace_functional(params: DegenParams, t: float, x: float) -> float:
         raise ParameterError(f"x must be >= 0, got {x}")
     if x == 0.0:  # exp(-0 * N(t)) = 1, also for t = inf where t * 0 is nan
         return 1.0
+    if t == math.inf:  # N(inf) is infinite; below x ~ 1.1e-16 exp(-x) is 1.0
+        return 0.0
     # The exponent is t * log pgf(exp(-x)) <= 0, so this only underflows.
     return math.exp(t * _log_pgf(math.exp(-x), params))
 

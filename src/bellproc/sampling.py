@@ -34,6 +34,8 @@ class RngStream:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        if any(i < 0 for i in self.spawn_key):
+            raise ParameterError(f"stream index must be non-negative, got {self.spawn_key}")
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self.generator = np.random.Generator(np.random.PCG64(seq))
 

@@ -4,9 +4,10 @@ Bundles every analytic identity and statistical property the library
 promises into one reproducible run: special-function identities,
 table coherence (normalization, generating functions, moments,
 convolution), sampler cross-validation, and path-level goodness of
-fit.  Used by ``bellproc verify`` and mirrored by the test suite.  The
-reference distributions of its tests (chi-square, Poisson, the exact
-Kolmogorov-Smirnov law) are computed here from numpy and math alone.
+fit.  Used by ``bellproc verify`` and called by the acceptance tests.
+The reference distributions of its tests (chi-square, Poisson, the
+exact Kolmogorov-Smirnov law) are computed here from numpy and math
+alone.
 
 A named reference value can be deliberately perturbed (multiplied by a
 factor) to demonstrate that the harness actually fails when the
@@ -257,6 +258,12 @@ def ks_pvalue(cdf_values: np.ndarray) -> float:
     return ks_sf(max(d_plus, d_minus), n)
 
 
+def poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """Poisson masses P(K = k) of mean mu > 0, from logs."""
+    log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+    return np.exp(k * math.log(mu) - mu - log_fact)
+
+
 # ----------------------------------------------------------------------
 # Chi-square helpers (right tail merged so expected counts stay sane).
 
@@ -372,9 +379,8 @@ def _grid_params() -> list[DegenParams]:
     ]
 
 
-def _dist_checks(perturb: dict[str, float]) -> list[CheckResult]:
+def _dist_checks(grid: list[DegenParams], perturb: dict[str, float]) -> list[CheckResult]:
     out = []
-    grid = _grid_params()
     tables = {p: build_pmf_table(p) for p in grid}
 
     worst = max(abs(float(t.probs.sum()) + t.tail_mass - 1.0) for t in tables.values())
@@ -425,14 +431,10 @@ def _dist_checks(perturb: dict[str, float]) -> list[CheckResult]:
 
     # lam = 1 collapse to the Poisson law.
     worst = 0.0
-    for a in GRID_ALPHA:
-        for th in GRID_THETA:
-            p = validate(a, th, 1.0)
+    for p in grid:
+        if p.lam == 1.0:
             t = tables[p]
-            k = np.arange(len(t.probs))
-            mu = a * th
-            log_fact = np.array([math.lgamma(j + 1.0) for j in k])
-            ref = np.exp(k * math.log(mu) - mu - log_fact)
+            ref = poisson_pmf(np.arange(len(t.probs)), p.alpha * p.theta)
             worst = max(worst, float(np.abs(t.probs - ref).max()))
     out.append(_check_le("dist.poisson_collapse", worst, 1e-13))
 
@@ -618,7 +620,7 @@ def run_verification(
     start = time.perf_counter()
     report = VerifyReport(seed=seed)
     report.checks.extend(_kernel_checks())
-    report.checks.extend(_dist_checks(perturb))
+    report.checks.extend(_dist_checks(_grid_params(), perturb))
     report.checks.extend(_sampler_checks(seed))
     report.checks.extend(_process_checks(seed))
     report.wall_time = time.perf_counter() - start

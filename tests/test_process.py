@@ -124,6 +124,10 @@ def test_path_rejects_bad_data():
         bp.SamplePath(
             params=P_HALF, horizon=1.0, times=np.array([1.5]), sizes=np.array([1])
         )
+    with pytest.raises(bp.ParameterError):
+        bp.SamplePath(
+            params=P_HALF, horizon=math.nan, times=np.array([]), sizes=np.array([], dtype=int)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +412,9 @@ def test_simulation_budget_refused_up_front(horizon, n_paths):
 def test_laplace_at_zero_is_one():
     for t in (1.0, 1e300, math.inf):
         assert bp.laplace_functional(P_HALF, t, 0.0) == 1.0
+    # and 0 at t = inf for every x > 0, also where exp(-x) rounds to 1
+    for x in (1e-300, 1e-17, 0.5):
+        assert bp.laplace_functional(P_HALF, math.inf, x) == 0.0
 
 
 def test_laplace_is_mgf_at_negative_argument():
@@ -451,12 +458,14 @@ def test_intensity_matches_pmf_to_first_order():
 
 
 def test_intensity_error_is_first_order():
-    # error at window s shrinks linearly: successive ratios near 10
-    for k in (1, 2):
+    # error at window s shrinks linearly: successive ratios near 10; at
+    # order one the k = 3 coefficient vanishes and the error is second order
+    order_one = bp.validate(1, 1, 1)
+    for params, k in ((P_HALF, 1), (P_HALF, 2), (order_one, 1), (order_one, 2)):
         errs = []
         for s in (1e-2, 1e-3, 1e-4):
-            approx = bp.small_s_intensity(k, P_HALF, s)
-            exact = bp.pmf(k, bp.validate(P_HALF.alpha * s, 1.0, 0.5))
+            approx = bp.small_s_intensity(k, params, s)
+            exact = bp.pmf(k, bp.validate(params.alpha * s, params.theta, params.lam))
             errs.append(abs(exact / s - approx / s))
         assert 5 <= errs[0] / errs[1] <= 20
         assert 5 <= errs[1] / errs[2] <= 20

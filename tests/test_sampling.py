@@ -38,6 +38,8 @@ def test_stream_split_reproducible_and_distinct():
 def test_stream_seed_must_be_non_negative():
     with pytest.raises(bp.ParameterError):
         bp.RngStream(-1)
+    with pytest.raises(bp.ParameterError):
+        bp.RngStream(1).split(-1)
     # seeds past 64 bits are accepted, as numpy's SeedSequence takes them
     assert bp.RngStream(2**64 + 5).random() != bp.RngStream(5).random()
 

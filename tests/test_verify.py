@@ -1,4 +1,5 @@
-"""The battery's reference distributions against scipy and mpmath."""
+"""The battery's reference distributions against scipy and mpmath, and
+its power against faults injected into the compound law."""
 
 import math
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bellproc.verify import chi2_sf, contingency_pvalue, ks_pvalue, ks_sf
+import bellproc as bp
+from bellproc import distribution, process, verify
+from bellproc.distribution import JumpLaw
+from bellproc.verify import chi2_sf, contingency_pvalue, ks_pvalue, ks_sf, poisson_pmf
 
 # Tail probabilities from 1e-12 up to 1 - 1e-9.
 P_GRID = np.concatenate([np.geomspace(1e-12, 0.5, 14), 1.0 - np.geomspace(1e-9, 0.4, 10)])
@@ -75,3 +79,46 @@ def test_ks_pvalue_matches_kstest_on_exponential_gaps():
         ref = stats.kstest(gaps, "expon", args=(0.0, scale)).pvalue
         ours = ks_pvalue(-np.expm1(-gaps / scale))
         assert ours == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+def test_poisson_pmf_against_scipy():
+    # the reference of dist.poisson_collapse, at every lam = 1 law of the
+    # acceptance tests' wide grid, over each table's support
+    for a in (0.5, 1.0, 2.0, 5.0):
+        for th in (0.25, 0.5, 1.0, 2.0):
+            k = np.arange(len(bp.build_pmf_table(bp.validate(a, th, 1.0)).probs))
+            ref = stats.poisson.pmf(k, a * th)
+            np.testing.assert_allclose(poisson_pmf(k, a * th), ref, rtol=1e-12, atol=0)
+
+
+def _rate_fault(law):
+    return JumpLaw(1.02 * law.burst_rate, law.jump_probs, law.support_bound)
+
+
+def _jump_fault(law):
+    # single-size (lam = 1) laws are left alone: a jump of 2 there trips
+    # process.order_one_unit_jumps at any fault size
+    if law.support_bound < 2:
+        return law
+    probs = law.jump_probs.copy()
+    probs[:2] += (-0.02, 0.02)
+    return JumpLaw(law.burst_rate, probs, law.support_bound)
+
+
+@pytest.mark.parametrize("fault", [_rate_fault, _jump_fault], ids=["rate_x1.02", "jump_0.02_to_2"])
+def test_battery_detects_compound_law_faults(monkeypatch, fault):
+    # the sampler and path simulation read the compound law through these
+    # two names; faults of 0.5% pass both groups at this seed
+    true_decompose = distribution.decompose
+
+    def faulty(params):
+        return fault(true_decompose(params))
+
+    monkeypatch.setattr(distribution, "decompose", faulty)
+    monkeypatch.setattr(process, "decompose", faulty)
+    process._jump_law.cache_clear()
+    try:
+        for group in (verify._sampler_checks, verify._process_checks):
+            assert not all(c.passed for c in group(verify.DEFAULT_SEED)), group.__name__
+    finally:
+        process._jump_law.cache_clear()
