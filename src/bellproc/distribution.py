@@ -26,6 +26,9 @@ most M(r) = exp(alpha*(e_lam(theta*r) - e_lam(theta))), so
 sum_{k>K} |p_k| <= M(r) * r**-(K+1) / (1 - 1/r), signed masses included.
 A non-reciprocal ``lam`` with lam*theta >= 1 leaves no such r and is
 refused.
+
+Tables (``build_pmf_table``) and jump laws (``decompose``) are built once
+per law, memoized for the 128 most recent, and shared read-only.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ def _log_e(lam: float, x: float) -> float:
     return math.log1p(y) / lam if abs(y) > 1e-300 else x
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def burst_rate(alpha: float, theta: float, lam: float) -> float:
     """Rate alpha * (e_lam(theta) - 1) of the underlying burst process;
     inf where it overflows."""
@@ -129,6 +137,8 @@ def validate(alpha: float, theta: float, lam: float) -> DegenParams:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
     if not (0.0 < lam <= 1.0):
         raise ParameterError(f"lam must lie in (0, 1], got {lam}")
+    # Plain floats, so a memoized table's params do not depend on who built it first.
+    alpha, theta, lam = float(alpha), float(theta), float(lam)
     if _is_reciprocal_integer(lam):
         return DegenParams(alpha, theta, lam, Validity.STRICT)
     if lam * theta >= 1.0:
@@ -139,7 +149,7 @@ def validate(alpha: float, theta: float, lam: float) -> DegenParams:
         )
     params = DegenParams(alpha, theta, lam, Validity.ASYMPTOTIC)
     # Builds the table, which itself rejects negative mass.
-    _cached_table(params, DEFAULT_TAIL_TOL)
+    _pmf_table(params, DEFAULT_TAIL_TOL)
     return params
 
 
@@ -268,7 +278,7 @@ def log_pmf(k: int, params: DegenParams) -> float:
     """
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    probs = _cached_table(params, DEFAULT_TAIL_TOL).probs
+    probs = _pmf_table(params, DEFAULT_TAIL_TOL).probs
     if k < len(probs) and probs[k] >= sys.float_info.min:
         return math.log(probs[k])
     logs, negative = _masses(params, k)
@@ -286,7 +296,7 @@ class PmfTable:
 
     probs[k] is the mass at k for k = 0..K; tail_mass is the residual
     beyond K, certified at construction to be at most the requested
-    tolerance.  Immutable.
+    tolerance.  Immutable: probs and cumulative are read-only.
     """
 
     params: DegenParams
@@ -295,7 +305,7 @@ class PmfTable:
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        return _read_only(np.cumsum(self.probs))
 
     @property
     def support_max(self) -> int:
@@ -355,8 +365,7 @@ class PmfTable:
         params = DegenParams(
             obj["alpha"], obj["theta"], obj["lambda"], Validity(obj["validity"])
         )
-        probs = np.asarray(obj["probs"], dtype=float)
-        probs.setflags(write=False)
+        probs = _read_only(np.asarray(obj["probs"], dtype=float))
         return cls(params=params, probs=probs, tail_mass=float(obj["tail_mass"]))
 
 
@@ -368,12 +377,11 @@ def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> 
     to 0; their total counts against tail_tol with the certified tail,
     and ParameterError is raised when the two exceed it.
 
-    An asymptotic law at the default tail_tol is the table validate
-    built and cached, read back rather than built again.
+    Tables are memoized per (params, tail_tol), the 128 most recent, and
+    shared read-only: validate, log_pmf, cdf and quantile read the same
+    table that is returned here.
     """
-    if params.validity is Validity.ASYMPTOTIC and tail_tol == DEFAULT_TAIL_TOL:
-        return _cached_table(params, tail_tol)
-    return _build_pmf_table(params, tail_tol)
+    return _pmf_table(params, tail_tol)
 
 
 def _check_tail_tol(tail_tol: float) -> None:
@@ -381,7 +389,9 @@ def _check_tail_tol(tail_tol: float) -> None:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
 
 
-def _build_pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
+# The one table builder and cache; every caller passes both arguments positionally.
+@lru_cache(maxsize=128)
+def _pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
     _check_tail_tol(tail_tol)
     certified = tail_tol / 2.0
     logs, negative = _masses(params, _cutoff(params, certified))
@@ -398,25 +408,19 @@ def _build_pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
         raise ConvergenceError(
             f"residual mass {residual:.3e} exceeds certified tolerance {tail_tol:.3e}"
         )
-    probs.setflags(write=False)
-    return PmfTable(params=params, probs=probs, tail_mass=max(residual, 0.0))
-
-
-@lru_cache(maxsize=128)
-def _cached_table(params: DegenParams, tail_tol: float) -> PmfTable:
-    return _build_pmf_table(params, tail_tol)
+    return PmfTable(params=params, probs=_read_only(probs), tail_mass=max(residual, 0.0))
 
 
 def cdf(k: int, params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Partial sum of the masses through k."""
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    return _cached_table(params, tail_tol).cdf(k)
+    return _pmf_table(params, tail_tol).cdf(k)
 
 
 def quantile(u: float, params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Least k with cdf(k) > u, for u in [0, 1)."""
-    return _cached_table(params, tail_tol).quantile(u)
+    return _pmf_table(params, tail_tol).quantile(u)
 
 
 # ----------------------------------------------------------------------
@@ -493,8 +497,10 @@ def variance(params: DegenParams) -> float:
 
 
 def _same_family(p1: DegenParams, p2: DegenParams) -> bool:
-    """theta and lam agree: only then is a sum of laws or processes in the family."""
-    return abs(p1.theta - p2.theta) <= 1e-12 and abs(p1.lam - p2.lam) <= 1e-12
+    """theta and lam agree to 1e-12 relative: only then is a sum in the family."""
+    return math.isclose(p1.theta, p2.theta, rel_tol=1e-12) and math.isclose(
+        p1.lam, p2.lam, rel_tol=1e-12
+    )
 
 
 def convolve(p1: DegenParams, p2: DegenParams) -> DegenParams:
@@ -530,7 +536,7 @@ class JumpLaw:
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.jump_probs)
+        return _read_only(np.cumsum(self.jump_probs))
 
     def prob(self, k: int) -> float:
         if 1 <= k <= self.support_bound:
@@ -548,6 +554,7 @@ class JumpLaw:
         return float(np.dot(k, self.jump_probs))
 
 
+@lru_cache(maxsize=128)
 def decompose(params: DegenParams) -> JumpLaw:
     """Split the law into Poisson bursts of iid positive jumps.
 
@@ -556,7 +563,7 @@ def decompose(params: DegenParams) -> JumpLaw:
     exponential, i.e. jump weights proportional to c_k * theta**k, the
     coefficients the mass recurrence runs on.  Requires strict validity:
     for other lam some weight is negative and no such decomposition
-    exists.
+    exists.  Memoized per law (the 128 most recent) and shared read-only.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError(
@@ -567,6 +574,5 @@ def decompose(params: DegenParams) -> JumpLaw:
     if not math.isfinite(rate):
         raise ParameterError(f"burst rate of {params} overflows")
     weights = _exp_series(params, params.reciprocal_order)[1:]
-    probs = weights / math.fsum(weights)
-    probs.setflags(write=False)
+    probs = _read_only(weights / math.fsum(weights))
     return JumpLaw(burst_rate=rate, jump_probs=probs, support_bound=len(probs))

@@ -25,16 +25,16 @@ import math
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .distribution import (
     DegenParams,
-    JumpLaw,
     Validity,
+    _LOG_MAX,
     _exp_series,
-    _log_pgf,
+    _log_e,
     _same_family,
     decompose,
     validate,
@@ -226,11 +226,6 @@ class PathEnsemble(Sequence):
         return counts
 
 
-@lru_cache(maxsize=128)
-def _jump_law(params: DegenParams) -> JumpLaw:
-    return decompose(params)
-
-
 def _coalesced(
     params: DegenParams,
     horizon: float,
@@ -271,7 +266,7 @@ def simulate_paths(
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
-    law = _jump_law(params)
+    law = decompose(params)
     mean_bursts = law.burst_rate * horizon
     if not (n_paths <= SIMULATION_BUDGET and mean_bursts * n_paths <= SIMULATION_BUDGET):
         raise ParameterError(
@@ -329,7 +324,7 @@ def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEn
                 "superposition of processes with different theta or lam is not "
                 "a degenerate Bell process"
             )
-        if abs(p.horizon - first.horizon) > 1e-12:
+        if not math.isclose(p.horizon, first.horizon, rel_tol=1e-12):
             raise IncompatibleParametersError("superposition requires a common horizon")
     if len(paths) == 1:
         return first
@@ -354,14 +349,20 @@ def laplace_functional(params: DegenParams, t: float, x: float) -> float:
     """E[exp(-x * N(t))]: exp(alpha*t*(e_lam(exp(-x)*theta) - e_lam(theta)))."""
     if not t > 0.0:  # also refuses nan
         raise ParameterError(f"t must be positive, got {t}")
-    if x < 0.0:
+    if not x >= 0.0:  # also refuses nan
         raise ParameterError(f"x must be >= 0, got {x}")
-    if x == 0.0:  # exp(-0 * N(t)) = 1, also for t = inf where t * 0 is nan
+    if x == 0.0:  # exp(-0 * N(t)) = 1, also for t = inf
         return 1.0
-    if t == math.inf:  # N(inf) is infinite; below x ~ 1.1e-16 exp(-x) is 1.0
-        return 0.0
-    # The exponent is t * log pgf(exp(-x)) <= 0, so this only underflows.
-    return math.exp(t * _log_pgf(math.exp(-x), params))
+    # log L = -t*alpha*e_lam(theta)*(1 - e**g), g = log(e_lam(theta*exp(-x))/e_lam(theta))
+    # = log1p(y)/lam from expm1(-x), as exp(-x) is 1 below x ~ 1.1e-16; t = inf gives 0.
+    lam, theta = params.lam, params.theta
+    y = lam * theta * math.expm1(-x) / (1.0 + lam * theta)
+    if y < -1e-300:
+        log_gap = math.log(-math.expm1(math.log1p(y) / lam))
+    else:  # 1 - e**g = -y/lam to first order, where y underflows
+        log_gap = math.log(theta) + math.log(-math.expm1(-x)) - math.log1p(lam * theta)
+    log_size = math.log(t) + math.log(params.alpha) + _log_e(lam, theta) + log_gap
+    return math.exp(-math.exp(log_size)) if log_size < _LOG_MAX else 0.0
 
 
 def small_s_intensity(k: int, params: DegenParams, s: float) -> float:

@@ -70,13 +70,10 @@ def sample_inverse_cdf(table: PmfTable, rng: RngStream, size: int | None = None)
     A uniform falling in the uncovered tail sliver (probability at most
     the table's tail mass, <= 1e-12 by default) is redrawn.
     """
+    if size is None:
+        return int(sample_inverse_cdf(table, rng, 1)[0])
     cum = table.cumulative
     top = table.support_max
-    if size is None:
-        while True:
-            idx = int(np.searchsorted(cum, rng.random(), side="right"))
-            if idx <= top:
-                return idx
     out = np.searchsorted(cum, rng.random(size), side="right")
     bad = out > top
     while bad.any():
@@ -88,15 +85,9 @@ def sample_inverse_cdf(table: PmfTable, rng: RngStream, size: int | None = None)
 def sample_compound(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
     """Sum of a Poisson number of iid jumps; same law as the table route."""
     if size is None:
-        n_bursts = sample_poisson(jump_law.burst_rate, rng)
-        if n_bursts == 0:
-            return 0
-        return int(sample_jump(jump_law, rng, n_bursts).sum())
+        return int(sample_compound(jump_law, rng, 1)[0])
     counts = sample_poisson(jump_law.burst_rate, rng, size)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(size, dtype=np.int64)
-    jumps = sample_jump(jump_law, rng, total)
+    jumps = sample_jump(jump_law, rng, int(counts.sum()))
     owners = np.repeat(np.arange(size), counts)
     sums = np.bincount(owners, weights=jumps, minlength=size)
     return sums.astype(np.int64)

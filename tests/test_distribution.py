@@ -353,8 +353,10 @@ def test_convolve_near_identity():
 
 
 def test_convolve_rejects_mismatched_theta():
-    with pytest.raises(IncompatibleParametersError):
-        bp.convolve(bp.validate(1, 0.5, 0.5), bp.validate(1, 0.7, 0.5))
+    # theta is compared relatively: 1e-14 and 2e-14 differ by a factor 2
+    for theta_a, theta_b in ((0.5, 0.7), (1e-14, 2e-14)):
+        with pytest.raises(IncompatibleParametersError):
+            bp.convolve(bp.validate(1, theta_a, 0.5), bp.validate(1, theta_b, 0.5))
 
 
 def test_convolve_rejects_mismatched_order():
@@ -563,20 +565,38 @@ def test_recurrence_budget_refuses_before_building():
         bp.build_pmf_table(bp.validate(1e12, 1.0, 1.0))
 
 
-def test_asymptotic_build_reads_the_table_validate_cached(monkeypatch):
+def _built_once_and_shared(monkeypatch, triple):
+    # one recurrence serves the build, every tail_tol spelling and the lookups
     calls = []
     recurrence = dist._masses
     monkeypatch.setattr(dist, "_masses", lambda *args: calls.append(args) or recurrence(*args))
-    dist._cached_table.cache_clear()
-    params = bp.validate(42.795017938700305, 2.0, 0.4996)
+    dist._pmf_table.cache_clear()
+    params = bp.validate(*triple)
     table = bp.build_pmf_table(params)
-    assert len(calls) == 1
-    assert table is dist._cached_table(params, dist.DEFAULT_TAIL_TOL)
-    # other tolerances, and strict laws, are built afresh and not cached
-    bp.build_pmf_table(params, 1e-10)
-    bp.build_pmf_table(bp.validate(1.0, 1.0, 0.5))
-    assert len(calls) == 3
-    assert dist._cached_table.cache_info().currsize == 1
+    assert table is bp.build_pmf_table(params, dist.DEFAULT_TAIL_TOL)
+    assert table is bp.build_pmf_table(params, tail_tol=dist.DEFAULT_TAIL_TOL)
+    lookups = (bp.cdf(3, params), bp.pmf(3, params), bp.quantile(0.5, params))
+    assert len(calls) == 1 and lookups[0] == table.cdf(3)
+    # shared, so read-only: a write would change every later lookup
+    with pytest.raises(ValueError):
+        table.cumulative[:] = 0.0
+    return params
+
+
+def test_asymptotic_build_reads_the_table_validate_cached(monkeypatch):
+    _built_once_and_shared(monkeypatch, (42.795017938700305, 2.0, 0.4996))
+
+
+def test_strict_law_built_once_and_shared_read_only(monkeypatch):
+    params = _built_once_and_shared(monkeypatch, (1.0, 1.0, 0.5))
+    law = bp.decompose(params)
+    assert law is bp.decompose(params)
+    with pytest.raises(ValueError):
+        law.cumulative[:] = 0.0
+    # integer and float parameters name one law, which prints alike
+    dist._pmf_table.cache_clear()
+    first = bp.build_pmf_table(bp.validate(1, 1, 0.5)).to_json()
+    assert first == bp.build_pmf_table(params).to_json() and '"alpha": 1.0' in first
 
 
 # ----------------------------------------------------------------------

@@ -245,9 +245,14 @@ def test_superpose_rejects_mismatches():
     other_theta = bp.simulate_path(bp.validate(1.0, 0.7, 0.5), 1.0, rng)
     other_lam = bp.simulate_path(bp.validate(1.0, 1.0, 0.25), 1.0, rng)
     other_horizon = bp.simulate_path(P_HALF, 2.0, rng)
-    for bad in (other_theta, other_lam, other_horizon):
+    # horizons are compared relatively: 1e-13 and 5e-13 differ by a factor 5
+    short = bp.simulate_path(P_HALF, 1e-13, rng)
+    shorter = bp.simulate_path(P_HALF, 5e-13, rng)
+    for first, bad in (
+        (base, other_theta), (base, other_lam), (base, other_horizon), (short, shorter)
+    ):
         with pytest.raises(bp.IncompatibleParametersError):
-            bp.superpose([base, bad])
+            bp.superpose([first, bad])
     with pytest.raises(bp.ParameterError):
         bp.superpose([])
 
@@ -415,6 +420,13 @@ def test_laplace_at_zero_is_one():
     # and 0 at t = inf for every x > 0, also where exp(-x) rounds to 1
     for x in (1e-300, 1e-17, 0.5):
         assert bp.laplace_functional(P_HALF, math.inf, x) == 0.0
+    # and exp(-t*x*mean) at finite t where exp(-x) rounds to 1 (mean 1.5)
+    assert bp.laplace_functional(P_HALF, 1e16, 1e-17) == pytest.approx(math.exp(-0.15), rel=1e-12)
+    assert bp.laplace_functional(P_HALF, 1e20, 1e-17) == 0.0
+    # where lam*theta*(1 - exp(-x)) underflows: exp(-t*theta*(1 - exp(-x))) to first order
+    tiny = bp.validate(1.0, 1e-300, 0.5)
+    expected = math.exp(1e8 * math.expm1(-1e-10))
+    assert bp.laplace_functional(tiny, 1e308, 1e-10) == pytest.approx(expected, rel=1e-14)
 
 
 def test_laplace_is_mgf_at_negative_argument():
@@ -437,7 +449,7 @@ def test_laplace_monte_carlo(ensemble):
 
 
 def test_laplace_domain():
-    for t, x in ((0.0, 0.5), (1.0, -0.5), (math.nan, 1.0), (math.nan, 0.0)):
+    for t, x in ((0.0, 0.5), (1.0, -0.5), (math.nan, 1.0), (math.nan, 0.0), (1.0, math.nan)):
         with pytest.raises(bp.ParameterError):
             bp.laplace_functional(P_HALF, t, x)
 

@@ -192,3 +192,15 @@ def test_sampler_integer_determinism():
     b1 = bp.sample_compound(law, bp.RngStream(61), 5000)
     b2 = bp.sample_compound(law, bp.RngStream(61), 5000)
     assert (a1 == a2).all() and (b1 == b2).all()
+
+
+def test_scalar_draws_are_size_one_draws():
+    # a scalar draw is the size-1 draw, so seeded streams stay bit-for-bit
+    params = bp.validate(1.0, 1.0, 0.25)
+    table, law = bp.build_pmf_table(params), bp.decompose(params)
+    for seed in range(300):
+        for sampler, source in ((bp.sample_inverse_cdf, table), (bp.sample_compound, law)):
+            scalar, batch = bp.RngStream(seed), bp.RngStream(seed)
+            draws = [sampler(source, scalar) for _ in range(5)]
+            assert all(type(d) is int for d in draws)
+            assert draws == [int(sampler(source, batch, 1)[0]) for _ in range(5)]
