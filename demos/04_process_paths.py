@@ -16,7 +16,9 @@ print("=" * 64)
 print("one trajectory on [0, 4] (alpha=1, theta=1, lam=1/2)")
 print("=" * 64)
 path = bp.simulate_path(params, 4.0, bp.RngStream(11))
-print(path.to_csv())
+print("      time  size  count")
+for t, size, count in zip(path.times.tolist(), path.sizes.tolist(), path.cumulative.tolist()):
+    print(f"  {t:8.6f}  {size:>4}  {count:>5}")
 grid = np.linspace(0.0, 4.0, 17)
 line = "".join(str(min(bp.count_at(path, t), 9)) for t in grid)
 print(f"  count along t=0..4:  {line}")

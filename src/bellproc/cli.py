@@ -15,6 +15,7 @@ that owns the rule.  ``sample --n`` must lie in [1, SAMPLE_BUDGET], and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -156,8 +157,15 @@ def _law_at_t(args: argparse.Namespace) -> dist.DegenParams:
 def _cmd_table(args: argparse.Namespace) -> int:
     table = dist.build_pmf_table(_law_at_t(args), args.tail_tol)
     if args.output_format == "json":
-        payload = json.loads(table.to_json())
-        payload["cdf"] = [float(c) for c in table.cumulative]
+        payload = {
+            "alpha": table.params.alpha,
+            "theta": table.params.theta,
+            "lambda": table.params.lam,
+            "validity": table.params.validity.value,
+            "probs": table.probs.tolist(),
+            "tail_mass": table.tail_mass,
+            "cdf": table.cumulative.tolist(),
+        }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["k,pmf,cdf"]
@@ -286,7 +294,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(seed=args.seed, perturb=args.perturb)
-    text = report.to_json() + "\n" if args.output_format == "json" else report.to_csv()
+    if args.output_format == "json":
+        record = {"overall": report.overall, "seed": report.seed, "wall_time": report.wall_time}
+        record["checks"] = [dataclasses.asdict(c) for c in report.checks]
+        text = json.dumps(record, indent=2) + "\n"
+    else:
+        lines = ["name,statistic,threshold,comparison,passed"]
+        lines.extend(
+            f"{c.name},{c.statistic!r},{c.threshold!r},{c.comparison},{c.passed}"
+            for c in report.checks
+        )
+        lines.append(f"overall,,,,{report.overall}")
+        text = "\n".join(lines) + "\n"
     _emit(args, text)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

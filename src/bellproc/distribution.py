@@ -33,8 +33,6 @@ per law, memoized for the 128 most recent, and shared read-only.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -336,37 +334,6 @@ class PmfTable:
         k = np.arange(len(self.probs))
         mu = self.mean()
         return float(np.dot((k - mu) ** 2, self.probs))
-
-    # -- serialization: decimal text that round-trips doubles exactly --
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("k,p\n")
-        for k, p in enumerate(self.probs):
-            buf.write(f"{k},{float(p)!r}\n")
-        buf.write(f"tail_mass,{self.tail_mass!r}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.params.alpha,
-                "theta": self.params.theta,
-                "lambda": self.params.lam,
-                "validity": self.params.validity.value,
-                "probs": [float(p) for p in self.probs],
-                "tail_mass": self.tail_mass,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PmfTable":
-        obj = json.loads(text)
-        params = DegenParams(
-            obj["alpha"], obj["theta"], obj["lambda"], Validity(obj["validity"])
-        )
-        probs = _read_only(np.asarray(obj["probs"], dtype=float))
-        return cls(params=params, probs=probs, tail_mass=float(obj["tail_mass"]))
 
 
 def build_pmf_table(params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> PmfTable:

@@ -14,13 +14,13 @@ takes n Poisson(R*T) burst counts, one batch of uniform epochs sorted
 within each path, and one batch of jump sizes, with no loop over paths
 or bursts.  It is held as ragged columns (:class:`PathEnsemble`) whose
 items are :class:`SamplePath` views; counting and superposition run on
-the columns.
+the columns.  Ensembles and single paths hold their arrays read-only and
+are checked by one rule, :func:`_check_paths`.  Writing them out as text
+is left to :mod:`bellproc.cli`.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import weakref
 from collections.abc import Sequence
@@ -35,12 +35,52 @@ from .distribution import (
     _LOG_MAX,
     _exp_series,
     _log_e,
+    _read_only,
     _same_family,
     decompose,
     validate,
 )
 from .errors import IncompatibleParametersError, ParameterError
-from .sampling import RngStream, sample_jump, sample_poisson
+from .sampling import RngStream, _non_negative_int, sample_jump, sample_poisson
+
+
+def _check_paths(
+    horizon: float, times: np.ndarray, sizes: np.ndarray, offsets: np.ndarray | None = None
+) -> None:
+    """Raise ParameterError where paths break the :class:`SamplePath`
+    invariants.  ``offsets`` bound the paths of an ensemble, where a time
+    may fall back only at a path start; None holds one path."""
+    if not horizon > 0.0:  # also refuses nan
+        raise ParameterError(f"horizon must be positive, got {horizon}")
+    if len(times) != len(sizes):
+        raise ParameterError("times and sizes must have equal length")
+    if offsets is not None and (
+        len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(times)
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ParameterError("offsets must rise from 0 to the number of bursts")
+    if len(times) == 0:
+        return
+    rising = times[1:] > times[:-1]
+    if offsets is None:
+        low, high = times[0], times[-1]
+    else:
+        starts = offsets[1:-1]
+        rising[starts[(starts > 0) & (starts < len(times))] - 1] = True
+        low, high = times.min(), times.max()
+    if not rising.all():
+        raise ParameterError("burst times must be strictly increasing within a path")
+    if not (low > 0.0 and high <= horizon):  # also refuses nan
+        raise ParameterError("burst times must lie in (0, horizon]")
+    if (sizes < 1).any():
+        raise ParameterError("burst sizes must be >= 1")
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` read-only: kept if already so, else copied once."""
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        return values
+    return _read_only(np.array(values))
 
 
 @dataclass(frozen=True)
@@ -51,6 +91,7 @@ class SamplePath:
     positive integers (at most m when lam = 1/m).  The count starts at
     zero and jumps by ``sizes[i]`` at ``times[i]``; a burst at exactly T
     is included in the count at T (right-continuous convention).
+    Immutable: times, sizes and cumulative are read-only.
     """
 
     params: DegenParams
@@ -59,59 +100,17 @@ class SamplePath:
     sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:  # also refuses nan
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        t, s = self.times, self.sizes
-        if len(t) != len(s):
-            raise ParameterError("times and sizes must have equal length")
-        if len(t) > 0:
-            if not (np.diff(t) > 0).all():
-                raise ParameterError("burst times must be strictly increasing")
-            if t[0] <= 0.0 or t[-1] > self.horizon:
-                raise ParameterError("burst times must lie in (0, horizon]")
-            if (s < 1).any():
-                raise ParameterError("burst sizes must be >= 1")
+        object.__setattr__(self, "times", _frozen(self.times))
+        object.__setattr__(self, "sizes", _frozen(self.sizes))
+        _check_paths(self.horizon, self.times, self.sizes)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.sizes)
+        return _read_only(np.cumsum(self.sizes))
 
     @property
     def total(self) -> int:
         return int(self.cumulative[-1]) if len(self.sizes) else 0
-
-    # -- serialization --
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time,size,cumulative_count\n")
-        cum = self.cumulative
-        for i in range(len(self.times)):
-            buf.write(f"{float(self.times[i])!r},{int(self.sizes[i])},{int(cum[i])}\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.params.alpha,
-                "theta": self.params.theta,
-                "lambda": self.params.lam,
-                "horizon": self.horizon,
-                "times": [float(t) for t in self.times],
-                "sizes": [int(s) for s in self.sizes],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SamplePath":
-        obj = json.loads(text)
-        params = validate(obj["alpha"], obj["theta"], obj["lambda"])
-        return cls(
-            params=params,
-            horizon=float(obj["horizon"]),
-            times=np.asarray(obj["times"], dtype=float),
-            sizes=np.asarray(obj["sizes"], dtype=np.int64),
-        )
 
 
 # Simulations expected to hold more than this many bursts, or asking for
@@ -129,7 +128,8 @@ class PathEnsemble(Sequence):
     matching ``sizes``; every path satisfies the :class:`SamplePath`
     invariants.  Indexing gives a :class:`SamplePath` view of one path,
     slicing gives a sub-ensemble, and iteration yields the views in
-    order.
+    order.  Immutable: the columns, owners and cumulative are read-only,
+    and so are the views.
     """
 
     params: DegenParams
@@ -139,31 +139,15 @@ class PathEnsemble(Sequence):
     sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0.0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        off, t, s = self.offsets, self.times, self.sizes
-        if len(t) != len(s):
-            raise ParameterError("times and sizes must have equal length")
-        if len(off) < 1 or off[0] != 0 or off[-1] != len(t) or (np.diff(off) < 0).any():
-            raise ParameterError("offsets must rise from 0 to the number of bursts")
-        if len(t) > 0:
-            # a time may fall back only where a new path starts
-            rising = np.diff(t) > 0
-            starts = off[1:-1]
-            rising[starts[(starts > 0) & (starts < len(t))] - 1] = True
-            if not rising.all():
-                raise ParameterError("burst times must be strictly increasing within a path")
-            if t.min() <= 0.0 or t.max() > self.horizon:
-                raise ParameterError("burst times must lie in (0, horizon]")
-            if (s < 1).any():
-                raise ParameterError("burst sizes must be >= 1")
+        for name in ("offsets", "times", "sizes"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        _check_paths(self.horizon, self.times, self.sizes, self.offsets)
 
     @classmethod
     def of(cls, path: SamplePath) -> "PathEnsemble":
         """The one-path ensemble holding ``path``."""
-        return cls(
-            path.params, path.horizon, np.array([0, len(path.times)]), path.times, path.sizes
-        )
+        offsets = np.array([0, len(path.times)])
+        return _made(path.params, path.horizon, offsets, path.times, path.sizes)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -174,9 +158,7 @@ class PathEnsemble(Sequence):
             counts = np.diff(self.offsets)[picked]
             offsets = np.concatenate(([0], np.cumsum(counts)))
             rows = np.repeat(self.offsets[picked] - offsets[:-1], counts) + np.arange(offsets[-1])
-            return PathEnsemble(
-                self.params, self.horizon, offsets, self.times[rows], self.sizes[rows]
-            )
+            return _made(self.params, self.horizon, offsets, self.times[rows], self.sizes[rows])
         i = range(len(self))[index]  # IndexError past either end, as for a list
         view = self._views.get(i)
         if view is None:
@@ -194,13 +176,13 @@ class PathEnsemble(Sequence):
     @cached_property
     def owners(self) -> np.ndarray:
         """Path index of each burst."""
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        return _read_only(np.repeat(np.arange(len(self)), np.diff(self.offsets)))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Running count within its own path at each burst."""
         running = np.concatenate(([0], np.cumsum(self.sizes)))
-        return running[1:] - running[self.offsets[:-1]][self.owners]
+        return _read_only(running[1:] - running[self.offsets[:-1]][self.owners])
 
     def counts_at(self, ts) -> np.ndarray:
         """Counts of every path at every time in ``ts``, as an array of
@@ -226,6 +208,12 @@ class PathEnsemble(Sequence):
         return counts
 
 
+def _made(params, horizon, offsets, times, sizes) -> PathEnsemble:
+    """Ensemble of columns the library has just made: flagged read-only
+    in place, not copied."""
+    return PathEnsemble(params, horizon, *map(_read_only, (offsets, times, sizes)))
+
+
 def _coalesced(
     params: DegenParams,
     horizon: float,
@@ -245,7 +233,7 @@ def _coalesced(
             owners, times = owners[starts], times[starts]
             sizes = np.add.reduceat(sizes, starts)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_paths))))
-    return PathEnsemble(params, horizon, offsets, times, sizes)
+    return _made(params, horizon, offsets, times, sizes)
 
 
 def simulate_paths(
@@ -257,13 +245,15 @@ def simulate_paths(
     draws a Poisson(R*T) burst count, its epochs are iid uniforms on
     (0, T] sorted within the path, and the jump sizes are iid from the
     jump law.  The stream gives the counts, then the epochs, then the
-    sizes.  Raises ParameterError for non-strict parameters and for a
-    simulation past :data:`SIMULATION_BUDGET`.
+    sizes.  Raises ParameterError for non-strict parameters, for an
+    ``n_paths`` that is not a positive integer and for a simulation past
+    :data:`SIMULATION_BUDGET`.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError("path simulation requires strict validity")
     if not horizon > 0.0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
+    n_paths = _non_negative_int(n_paths, "n_paths")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     law = decompose(params)

@@ -16,7 +16,6 @@ numbers are wrong.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -65,35 +64,6 @@ class VerifyReport:
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "overall": self.overall,
-                "seed": self.seed,
-                "wall_time": self.wall_time,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "statistic": c.statistic,
-                        "threshold": c.threshold,
-                        "comparison": c.comparison,
-                        "passed": c.passed,
-                    }
-                    for c in self.checks
-                ],
-            },
-            indent=2,
-        )
-
-    def to_csv(self) -> str:
-        lines = ["name,statistic,threshold,comparison,passed"]
-        for c in self.checks:
-            lines.append(
-                f"{c.name},{c.statistic!r},{c.threshold!r},{c.comparison},{c.passed}"
-            )
-        lines.append(f"overall,,,,{self.overall}")
-        return "\n".join(lines) + "\n"
 
 
 def _check_le(name: str, statistic: float, threshold: float) -> CheckResult:

@@ -63,6 +63,23 @@ def test_table_json_format(tmp_path):
     assert payload["lambda"] == 0.5
     assert abs(sum(payload["probs"]) + payload["tail_mass"] - 1.0) <= 1e-12
     assert payload["cdf"][-1] == pytest.approx(1.0, abs=1e-12)
+    # the printed doubles parse back bit-equal to the table
+    table = bp.build_pmf_table(bp.validate(1.0, 1.0, 0.5))
+    assert payload["probs"] == table.probs.tolist()
+    assert payload["cdf"] == table.cumulative.tolist()
+    assert payload["tail_mass"] == table.tail_mass
+
+
+def test_table_csv_parses_back_bit_equal(capsys):
+    assert main(["table", "--alpha", "1.5", "--theta", "0.75", "--lambda", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k,pmf,cdf"
+    *rows, tail = lines[1:]
+    table = bp.build_pmf_table(bp.validate(1.5, 0.75, 0.25))
+    assert [int(r.split(",")[0]) for r in rows] == list(range(len(table.probs)))
+    assert [float(r.split(",")[1]) for r in rows] == table.probs.tolist()
+    assert [float(r.split(",")[2]) for r in rows] == table.cumulative.tolist()
+    assert tail == f"tail_mass,{table.tail_mass!r},"
 
 
 def test_table_time_scaling():
@@ -253,20 +270,25 @@ def _simulate_one_path_at_a_time(seed, horizon, n_paths, marginal, fmt):
     if marginal is not None:
         hist = np.bincount([bp.count_at(p, marginal) for p in paths])
     if fmt == "json":
-        payload = {"seed": seed, "paths": [json.loads(p.to_json()) for p in paths]}
+        head = {"alpha": 1.0, "theta": 1.0, "lambda": 0.5, "horizon": horizon}
+        payload = {
+            "seed": seed,
+            "paths": [
+                {**head, "times": [float(t) for t in p.times], "sizes": [int(s) for s in p.sizes]}
+                for p in paths
+            ],
+        }
         if hist is not None:
             payload["marginal"] = {
                 "t": marginal,
                 "histogram": {str(k): int(c) for k, c in enumerate(hist) if c},
             }
         return json.dumps(payload, indent=2) + "\n"
-    if n_paths == 1:
-        lines = [paths[0].to_csv().rstrip("\n")]
-    else:
-        lines = ["path,time,size,cumulative_count"]
-        for i, p in enumerate(paths):
-            for t, size, cum in zip(p.times, p.sizes, p.cumulative):
-                lines.append(f"{i},{float(t)!r},{int(size)},{int(cum)}")
+    lines = ["time,size,cumulative_count"] if n_paths == 1 else ["path,time,size,cumulative_count"]
+    for i, p in enumerate(paths):
+        prefix = "" if n_paths == 1 else f"{i},"
+        for t, size, cum in zip(p.times, p.sizes, p.cumulative):
+            lines.append(f"{prefix}{float(t)!r},{int(size)},{int(cum)}")
     if hist is not None:
         lines += ["", "k,count"] + [f"{k},{int(c)}" for k, c in enumerate(hist) if c]
     return "\n".join(lines) + "\n"

@@ -1,0 +1,179 @@
+"""Seeded CLI output pinned byte for byte.
+
+Each argv below runs through ``cli.main`` in process.  Its exit code,
+the SHA-256 of its stdout and, for a refusal, its one stderr line are
+compared with the table committed here.  ``verify --format json`` is
+hashed without its ``wall_time`` line, the one value that is not
+deterministic.
+
+The digests depend on numpy's ``Generator`` streams, so they hold for
+the numpy version stored with them; on another version the test is
+skipped.  A change that alters seeded output on purpose replaces the
+table with the observed one, which the failure message prints in the
+same layout, and names each changed argv in its change notes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bellproc.cli import main
+
+NUMPY_VERSION = "2.4.6"
+
+LAWS = [
+    ("1", "1", "1"),
+    ("1", "1", "0.5"),
+    ("2", "0.5", "0.25"),
+    ("42.795017938700305", "2", "0.4996"),  # asymptotic, near the radius
+    ("16.915395812433825", "2", "0.005263157894736842"),  # m = 190
+    ("0.7", "0.3", "0.6"),  # asymptotic, refused by compound and simulate
+]
+
+COMMANDS = [
+    ("table",),
+    ("table", "--t", "2.5", "--tail-tol", "1e-10"),
+    ("moments",),
+    ("sample", "--n", "1000", "--seed", "7"),
+    ("sample", "--n", "1", "--seed", "7"),
+    ("sample", "--method", "compound", "--n", "500", "--seed", "9"),
+    ("simulate", "--horizon", "0.6", "--seed", "37", "--paths", "1"),
+    ("simulate", "--horizon", "0.6", "--seed", "37", "--paths", "60", "--marginal", "0.3"),
+]
+
+ARGVS = [
+    [command[0], "--alpha", a, "--theta", t, "--lambda", lam, *command[1:], "--format", fmt]
+    for a, t, lam in LAWS
+    for command in COMMANDS
+    for fmt in ("csv", "json")
+] + [
+    ["verify", "--seed", "12345", "--format", "csv"],
+    ["verify", "--seed", "12345", "--format", "json"],
+]
+
+# " ".join(argv) -> (exit code, SHA-256 of stdout, stderr line of a refusal)
+DIGESTS = {
+    'table --alpha 1 --theta 1 --lambda 1 --format csv': (0, 'e0b3ec0772f77b26b4f52703f67c7575af0e1528268266fc93489e1e7cef6d0b', None),
+    'table --alpha 1 --theta 1 --lambda 1 --format json': (0, '34f0c521acce5a52d897abb213099d943c0731abd157e0333f22c0dba2369f6c', None),
+    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format csv': (0, '5f7f74d79d809b00470647d13e8e48fe7220e4384955e90806123278c36a4ef1', None),
+    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format json': (0, 'de0932e310a1c237a33ddcde8b89b08d58fc44451c8c48721b3b1301bd40af33', None),
+    'moments --alpha 1 --theta 1 --lambda 1 --format csv': (0, '6985574759f6d6eb19faa2648091ca153c1a767a280b58f83f6f71ebb4d555b9', None),
+    'moments --alpha 1 --theta 1 --lambda 1 --format json': (0, 'e5afdb6649f59441bcd7a4e9236c2a00785d0522ca9a6d4e29f2d101f22c21d1', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --n 1000 --seed 7 --format csv': (0, 'ce9292913b23dc9141c4e5b41d9011379c5c1ff91316f7e41072d44e2ed8eb70', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --n 1000 --seed 7 --format json': (0, '2662c9f0c2699b07e408d0633170d2a901796e68ecc7ed2d4caf0cf5af541b93', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --n 1 --seed 7 --format csv': (0, '69c7caeeb286993227452c7358e28057a367cabbb5b4bd90c27ba3518af4dd30', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --n 1 --seed 7 --format json': (0, '0a7e57af8fd7f54d84cc07eaac7be8c9ed0df63042e5b76c35332eb8296b84c5', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format csv': (0, '0ef84db3184a0eea49a4a6727b188d55abc34f5d74f423befdba0c18fbe10499', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format json': (0, '22fec12a435e155948804a18389d7028cfed378b96cbbfdf4731b61efa16ce57', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '83ddd561de6e1df7e3c5d9fa653efd8dc594366615944072f18ccd625dbd73e2', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'd165d6df1e1d85f72aa37e82d21eba1151bef16f8f1a4ee42858dafcbe29f5d4', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, 'd1e33e484824ca182b63c9801514edbb65be613314e30df273b17b3b37819f86', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, '1a60af397652ad6d549fe017198c589136e1f32669339a207021192c3d6c45de', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --format json': (0, 'c2d8376bb4ba6d3145f46ec4fb9785842bedb7d88ce477a069e3cd32c38c30ff', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format csv': (0, '464805092935a8a5837f25a688f83fec0297039aabf1f18dfc8c5d7d7e96efb8', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format json': (0, 'ee6254c4ec52f185d95c3e1fa09ad69511c0f021c43372fdfa69fe05cd2d6b55', None),
+    'moments --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, 'e7244fd1f6ff0a582240fe9430f1e5665e7770cfd1499a4fbb4878281f1ca55d', None),
+    'moments --alpha 1 --theta 1 --lambda 0.5 --format json': (0, '1904f72e9efc3e4fa1478d6c40e1875102f0b2f2d23f0d953c30d244edb9640a', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --n 1000 --seed 7 --format csv': (0, '630f95e94fd591037370f7050f5c85201a4e2ff8a530edbe5f06233a4e5e611e', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --n 1000 --seed 7 --format json': (0, 'c1802367a7b276abdf97b38c25b2bdb757db44af16dc9c0feeb28b018857f5d3', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --n 1 --seed 7 --format csv': (0, 'd243a980521173f8db6889f1b69fc0d90b76b4962af53f5a94be6da60db3e93a', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --n 1 --seed 7 --format json': (0, '9e9a566471f0ecc42d7bfad41cf230aa390a5e8820cdf5e1267e18aa19f9fc4b', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format csv': (0, '9d48fa9403cff05fa181baebab78f08e91d7f4cc0209fe24d1dd79f2863d2e52', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format json': (0, '820e9c54a7ed6a4e7a605740a5807229819e974094f20dec5a97218d635be575', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '5f42674da45a9c3808afe1c2571110106898a5290cf8560e83094c03e5710840', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '8541ac9a1217e36a700fd321fa2f5f08d8b233b83842c31a0a474c057487da83', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '7af60263a603fda84534eaf327e81d490ac823d8aa65cbb74ee94b244656eec2', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, '13a2620abeba4279bddede6fadf332803639c27b69a4ce8279bfe6d34baaa174', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, '8cb03b59e08d9dbad32288f1bc822866ec964f377c7e8c27837fdc2a4e2c745e', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format csv': (0, '2d07b0cd4302df9fc592c1846ff6851a10d02f405f41c76de650cc614a750d06', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format json': (0, '1b1b8caee2278d91db6d4bbd9aa1efa9e33ec8f0d99be8ee8530d6ce04bac454', None),
+    'moments --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, 'abf5b7eb281e4698aa740281c360f9a2abc94cf6b2ea0e9a958e6e3c9c223e7c', None),
+    'moments --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, 'b65ed230630181290aae666c45af2c6fa42283e40cef6ed76db05e75851dbde7', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1000 --seed 7 --format csv': (0, '007bee5fcee023b072f0377b844d116d4e716b0db5d6f7d1ce623b3710cc6e2f', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1000 --seed 7 --format json': (0, '468a8cb781ecffda31818af65f459a4476870643244a1653261c6c160a6d31a7', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1 --seed 7 --format csv': (0, 'd243a980521173f8db6889f1b69fc0d90b76b4962af53f5a94be6da60db3e93a', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1 --seed 7 --format json': (0, '9e9a566471f0ecc42d7bfad41cf230aa390a5e8820cdf5e1267e18aa19f9fc4b', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format csv': (0, '13b485f100ea6f267fc82bac9463828c00166273b176e6e83506126395b5ed45', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format json': (0, 'eb38016cda758a78b0ddf687e3d2f34b496d63819c621d2f88f023744179fc30', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'e8efa591e71397056ecc6f5c4c3613d866afe16b1a80dbd4e5baa5764822b400', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '2ce1f434b993613374c889f032054052875e59b11649106360ab64271e76af3c', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '1959d9e5bff04ef2e7e8f0f7c1b6f8d464f8e63e11701a24437e0f123c532e16', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '7fcc94b18c66974566012786a68a3952a39bafca28fc07dd1fbbb5167d982406', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, 'ebd2fbad288f7e4edd9d9ef8c05f9f42e75bf9c7c1829f7b24f38b5a39530a93', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'afd9e7359f43d1f3bbf71b277893161380f557bd95ccb6daca603c76726879eb', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format json': (0, '26b12edd0ae957a4617ee0782ad1fbe50f8e5b9c3f8e2857d7541a0d2deec157', None),
+    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '1ea26b928ec2dff076358904b6dbc52d0f9f1b939a864109fa828f3ea621c5c9', None),
+    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, '1694ff0d386aa018aca5ee0d9879c629fba67911e4aa7357840d17e93794357d', None),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1000 --seed 7 --format csv': (0, 'a0f7d9dbe09f5c99122b863465ec66aa4b6bafa6ce7118c324b72160a663f65e', None),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1000 --seed 7 --format json': (0, '23c575d0e9a0f04865cb3dcbae3861753c788ee9302d07200a499594ccf15647', None),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1 --seed 7 --format csv': (0, '86511c0add8e1749054dff60b9499ead6e43638796939d537a47366e391a4f9a', None),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1 --seed 7 --format json': (0, '176b564fa02f34f8a8b8ba73927f45bfa0ba635f277e19fd04fdd15f58726cfe', None),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --method compound --n 500 --seed 9 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: compound decomposition requires strict validity (lam = 1 or 1/m); got lam=0.4996'),
+    'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --method compound --n 500 --seed 9 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: compound decomposition requires strict validity (lam = 1 or 1/m); got lam=0.4996'),
+    'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 1 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '84fa58b37d776d19c9a5896064734f0d70ada3758f6f97028d5ea688bd051d81', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, 'c254b8dd7e9efdd6ef931dd4f5fb41fb9ea1943a4900ab8befab5297be816313', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format csv': (0, '131f2e2ce165b075721d020ba3f70568defc2d6ce88d6ef5d975bd7fdeb248c0', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format json': (0, '761d9e6f80711f0a2c0d970d2cd9b45680c180d7336f0d496e808ca6d9d08240', None),
+    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '87e0eb216ea80357a6033e1d9538a1f3d3f8788dfde50224b9ad16b993f939f4', None),
+    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '2a76b2d2ed7b9970a903bbc98c454afae700b1c64c1419a8235c40a46ed953e6', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format csv': (0, '705e6271ea5dbae3f3c4edc9e46c97e120da7b40b4ecbd721dfe11a2a5b609f1', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format json': (0, '1bd586adeee82520b6079c7b16c7fdea1c67ca686063a7bcc929252c1e350dcd', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1 --seed 7 --format csv': (0, '3fb31fded24ce4f32b0a3bbee93ea99ab4df7ca8f15f0ae00cffe9968c68d582', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1 --seed 7 --format json': (0, '6ccc97a28beee21e724a649762a39c3c39da7305668a5a1498d8201b58688a1b', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format csv': (0, 'ab0d76b977aafb04d1792850be6d78d2cecef04d0597f0a3c6df7912ed80a938', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format json': (0, '4f5aa67c4d39de4e3b6247ba08ab913f90e92698ca574190961ebfd674adcc08', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'ea9a0e4901ce88d91d5ee0354dc56ff687fafadf2af8684ee85e902e9313ec87', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'f3b5f3af8a2e605356cc11a98857514ea72c5c425c3d70c5318c943f95ec3d7a', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '1af0810e68c8b991c3d1b1a9b6f0fad4ad159344fc322d3c442268e2df9b15ad', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '0648773b50cce3e924471b59cd8573d8c1509b8a1859d33611c80e89b96fd20f', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '6487b74a8b4e897a812913a3055dfff486a952bea53a1defe4fe0e52741ca295', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, '4a4833ef6024c08fb599ad79f26aeb4d67d8360721624b83e970d3769ebfafd6', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format csv': (0, '3ec95a5270c5bef5e2824f468a89b92aa9decf13949908b3885635f6a3e64ad5', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format json': (0, '4edf51b7a03d8d41b43ca0613211dd6f1c6b7e237a74463d9efba21fa27b9378', None),
+    'moments --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '8a760927afb50381cf8bd1b68898f1b8f908a03751e82e073d77abd1ad45d3ca', None),
+    'moments --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, 'ea71eab22d2b1019539c8a4b42ece4811880fad77d63081ad043f373de6ec6a9', None),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --n 1000 --seed 7 --format csv': (0, 'e96e5de19559e87864997c520cc6b51f9a8148b734ac21f0f5bad1d288d55e75', None),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --n 1000 --seed 7 --format json': (0, '4af554b6be12b7a320fdc99e0143a64350410f6e4d6e6edf3e455764c295c01d', None),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --n 1 --seed 7 --format csv': (0, '2dcb54e3ebba3b329790bc8e0d48e4228b05d1eedeec0c0be7d255fde2a68ea5', None),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --n 1 --seed 7 --format json': (0, 'f1596721eb718df04c76c19374b4920e20c26702821296e7f9be1110ddaf48c6', None),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --method compound --n 500 --seed 9 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: compound decomposition requires strict validity (lam = 1 or 1/m); got lam=0.6'),
+    'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --method compound --n 500 --seed 9 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: compound decomposition requires strict validity (lam = 1 or 1/m); got lam=0.6'),
+    'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 1 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
+    'verify --seed 12345 --format csv': (0, 'bd6cc60095f877dc8df7cd148cdb9bc8f1bbcae37b375684bb7ed242a047ec3f', None),
+    'verify --seed 12345 --format json': (0, 'b2b0d2c4c215d70480b99c0d6d735dab816729c8fd8fabbce1cf5ee56b985d16', None),
+}
+
+
+def _observe(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if argv[0] == "verify" and argv[-1] == "json":
+        out = "".join(
+            line for line in out.splitlines(keepends=True) if '"wall_time":' not in line
+        )
+    return code, hashlib.sha256(out.encode()).hexdigest(), err.rstrip("\n") if code == 2 else None
+
+
+def _layout(table):
+    rows = "".join(f"    {key!r}: {row!r},\n" for key, row in table.items())
+    return "DIGESTS = {\n" + rows + "}\n"
+
+
+@pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"digests were taken with numpy {NUMPY_VERSION}, whose random streams they pin",
+)
+def test_cli_output_matches_committed_digests(capsys):
+    observed = {" ".join(argv): _observe(argv, capsys) for argv in ARGVS}
+    assert observed == DIGESTS, "observed table:\n" + _layout(observed)

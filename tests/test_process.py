@@ -31,6 +31,10 @@ def test_simulate_requires_strict_and_positive_horizon():
         bp.simulate_path(bp.validate(1.0, 1.0, 0.013), 1.0, bp.RngStream(1))
     with pytest.raises(bp.ParameterError):
         bp.simulate_path(P_HALF, 0.0, bp.RngStream(1))
+    for n_paths in (2.5, True, -1, 0):
+        with pytest.raises(bp.ParameterError):
+            bp.simulate_paths(P_HALF, 1.0, n_paths, bp.RngStream(1))
+    assert len(bp.simulate_paths(P_HALF, 1.0, np.int64(3), bp.RngStream(1))) == 3
 
 
 def test_tiny_horizon_paths_mostly_empty():
@@ -128,6 +132,32 @@ def test_path_rejects_bad_data():
         bp.SamplePath(
             params=P_HALF, horizon=math.nan, times=np.array([]), sizes=np.array([], dtype=int)
         )
+    # a nan burst time fails every comparison, so the bound is written to refuse it
+    with pytest.raises(bp.ParameterError):
+        bp.SamplePath(P_HALF, 1.0, np.array([math.nan]), np.array([1]))
+    with pytest.raises(bp.ParameterError):
+        bp.PathEnsemble(P_HALF, 1.0, np.array([0, 1]), np.array([math.nan]), np.array([1]))
+
+
+def test_paths_are_read_only():
+    paths = bp.simulate_paths(P_HALF, 2.0, 50, bp.RngStream(61))
+    view = paths[int(np.argmax(np.diff(paths.offsets)))]
+    arrays = (
+        paths.offsets, paths.times, paths.sizes, paths.owners, paths.cumulative,
+        view.times, view.sizes, view.cumulative,
+    )
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 99
+    with pytest.raises(ValueError):
+        paths.times[0] = -5.0
+    # a caller's writable array or list is copied once, so later writes do not reach the path
+    times = np.array([0.5])
+    path = bp.SamplePath(P_HALF, 1.0, times, [2])
+    times[0] = 5.0
+    assert path.times.tolist() == [0.5] and bp.count_at(path, 1.0) == 2
+    with pytest.raises(ValueError):
+        path.sizes[0] = 3
 
 
 # ----------------------------------------------------------------------
@@ -499,28 +529,3 @@ def test_order_one_gaps_exponential():
     gaps = np.diff(np.concatenate([[0.0], path.times]))
     # rate alpha*theta = 1.5
     assert stats.kstest(gaps, "expon", args=(0.0, 1.0 / 1.5)).pvalue > 0.001
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def test_path_json_round_trip():
-    path = bp.simulate_path(P_HALF, 3.0, bp.RngStream(101))
-    back = bp.SamplePath.from_json(path.to_json())
-    assert back.params == path.params
-    assert back.horizon == path.horizon
-    assert (back.times == path.times).all()
-    assert (back.sizes == path.sizes).all()
-
-
-def test_path_csv_columns():
-    path = bp.simulate_path(P_HALF, 3.0, bp.RngStream(103))
-    lines = path.to_csv().strip().splitlines()
-    assert lines[0] == "time,size,cumulative_count"
-    running = 0
-    for i, line in enumerate(lines[1:]):
-        t, size, cum = line.split(",")
-        running += int(size)
-        assert float(t) == path.times[i]
-        assert int(cum) == running

@@ -40,6 +40,14 @@ def test_stream_seed_must_be_non_negative():
         bp.RngStream(-1)
     with pytest.raises(bp.ParameterError):
         bp.RngStream(1).split(-1)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(bp.ParameterError):
+            bp.RngStream(bad)
+        with pytest.raises(bp.ParameterError):
+            bp.RngStream(1).split(bad)
+    # numpy integers are integers
+    stream = bp.RngStream(np.int64(5)).split(np.uint8(2))
+    assert stream.random() == bp.RngStream(5).split(2).random()
     # seeds past 64 bits are accepted, as numpy's SeedSequence takes them
     assert bp.RngStream(2**64 + 5).random() != bp.RngStream(5).random()
 
@@ -204,3 +212,19 @@ def test_scalar_draws_are_size_one_draws():
             draws = [sampler(source, scalar) for _ in range(5)]
             assert all(type(d) is int for d in draws)
             assert draws == [int(sampler(source, batch, 1)[0]) for _ in range(5)]
+
+
+def test_sampler_sizes_must_be_counts():
+    params = bp.validate(1.0, 1.0, 0.5)
+    table, law = bp.build_pmf_table(params), bp.decompose(params)
+    samplers = (
+        lambda size: bp.sample_inverse_cdf(table, bp.RngStream(3), size),
+        lambda size: bp.sample_compound(law, bp.RngStream(3), size),
+        lambda size: bp.sample_poisson(1.0, bp.RngStream(3), size),
+        lambda size: bp.sample_jump(law, bp.RngStream(3), size),
+    )
+    for draw in samplers:
+        for bad in (-1, 2.5, True):
+            with pytest.raises(bp.ParameterError):
+                draw(bad)
+        assert (draw(np.int64(4)) == draw(4)).all() and len(draw(0)) == 0
