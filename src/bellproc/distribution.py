@@ -111,6 +111,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` read-only: kept if it and the array that owns its memory
+    are read-only already, else copied once."""
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
+            return values
+    return _read_only(np.array(values))
+
+
 def burst_rate(alpha: float, theta: float, lam: float) -> float:
     """Rate alpha * (e_lam(theta) - 1) of the underlying burst process;
     inf where it overflows."""
@@ -294,12 +304,16 @@ class PmfTable:
 
     probs[k] is the mass at k for k = 0..K; tail_mass is the residual
     beyond K, certified at construction to be at most the requested
-    tolerance.  Immutable: probs and cumulative are read-only.
+    tolerance.  Immutable: probs and cumulative are read-only (probs is
+    copied unless its memory is read-only already).
     """
 
     params: DegenParams
     probs: np.ndarray
     tail_mass: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "probs", _frozen(self.probs))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -494,12 +508,19 @@ class JumpLaw:
 
     jump_probs[i] is P(J = i+1); under strict validity with lam = 1/m
     the support is exactly {1, ..., m}.  burst_rate is the intensity of
-    the Poisson process of jump epochs.
+    the Poisson process of jump epochs.  Immutable, as :class:`PmfTable`
+    is: jump_probs and cumulative are read-only.
     """
 
     burst_rate: float
     jump_probs: np.ndarray
-    support_bound: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jump_probs", _frozen(self.jump_probs))
+
+    @property
+    def support_bound(self) -> int:
+        return len(self.jump_probs)
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -542,4 +563,4 @@ def decompose(params: DegenParams) -> JumpLaw:
         raise ParameterError(f"burst rate of {params} overflows")
     weights = _exp_series(params, params.reciprocal_order)[1:]
     probs = _read_only(weights / math.fsum(weights))
-    return JumpLaw(burst_rate=rate, jump_probs=probs, support_bound=len(probs))
+    return JumpLaw(burst_rate=rate, jump_probs=probs)

@@ -34,6 +34,7 @@ from .distribution import (
     Validity,
     _LOG_MAX,
     _exp_series,
+    _frozen,
     _log_e,
     _read_only,
     _same_family,
@@ -41,7 +42,8 @@ from .distribution import (
     validate,
 )
 from .errors import IncompatibleParametersError, ParameterError
-from .sampling import RngStream, _non_negative_int, sample_jump, sample_poisson
+from .sampling import RngStream, sample_jump, sample_poisson
+from .special import _non_negative_int
 
 
 def _check_paths(
@@ -74,13 +76,6 @@ def _check_paths(
         raise ParameterError("burst times must lie in (0, horizon]")
     if (sizes < 1).any():
         raise ParameterError("burst sizes must be >= 1")
-
-
-def _frozen(values) -> np.ndarray:
-    """``values`` read-only: kept if already so, else copied once."""
-    if isinstance(values, np.ndarray) and not values.flags.writeable:
-        return values
-    return _read_only(np.array(values))
 
 
 @dataclass(frozen=True)
@@ -359,7 +354,7 @@ def small_s_intensity(k: int, params: DegenParams, s: float) -> float:
     """Linear-in-s approximation alpha*s*c_k*theta**k of the probability
     of k events in a window of length s; c_k is the k-th coefficient of
     the degenerate exponential, 0 past m when lam = 1/m."""
-    if k < 1:
+    if _non_negative_int(k, "k") < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not s > 0.0:  # also refuses nan
         raise ParameterError(f"s must be positive, got {s}")

@@ -4,7 +4,8 @@ Two mutually independent exact samplers for the counting law: inversion
 of the certified table (the oracle route) and the compound construction
 of a Poisson number of bursts with iid positive jump sizes (the route
 that extends to path simulation).  Their agreement is part of the
-verification battery.
+verification battery.  Seeds, stream indices and sizes are checked by
+the integer rule of :mod:`bellproc.special`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ import numpy as np
 
 from .distribution import JumpLaw, PmfTable
 from .errors import ParameterError
-
-
-def _non_negative_int(value, name: str) -> int:
-    """A seed, stream index or count as an int; ParameterError for a
-    negative value, a bool or a non-integer (numpy integers are fine)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
-    if value < 0:
-        raise ParameterError(f"{name} must be non-negative, got {value}")
-    return int(value)
+from .special import _non_negative_int
 
 
 @dataclass

@@ -9,8 +9,13 @@ Conventions
 -----------
 ``lam`` is the degeneracy order.  The falling-factorial kernel is total
 (any real ``lam``, including 0, where it reduces to plain powers, and 1,
-where it reduces to the ordinary falling factorial).  The degenerate
-exponential requires ``lam != 0`` and ``1 + lam*t > 0``.
+where it reduces to the ordinary falling factorial), and takes an array
+of x as well as one x.  The degenerate exponential requires ``lam != 0``
+and ``1 + lam*t > 0``.  Every order and index (n, k, ``max_n``) is a
+non-negative integer, checked by one rule, :func:`_non_negative_int`,
+which the samplers and the path simulator use too; bools are refused.
+Triangles are filled a row at a time, and a triangle's size is the size
+of its entries.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, RangeError
 
 # Linear-domain triangles lose headroom to overflow / digit loss well
 # before this; values past n ~ 100 with large x should not be trusted
@@ -37,15 +42,25 @@ _DOBINSKI_MAX_TERMS = 10_000
 RECIPROCAL_INT_TOL = 1e-9
 
 
-def falling_factorial(x: float, n: int, lam: float) -> float:
+def _non_negative_int(value, name: str) -> int:
+    """An order, index, seed or count as an int; ParameterError for a
+    negative value, a bool or a non-integer (numpy integers are fine)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    if value < 0:
+        raise ParameterError(f"{name} must be non-negative, got {value}")
+    return int(value)
+
+
+def falling_factorial(x, n: int, lam: float):
     """Generalized falling factorial x(x-lam)(x-2*lam)...(x-(n-1)*lam).
 
     Total function: returns 1.0 for n = 0; lam may be any real.  lam = 0
-    gives x**n and lam = 1 the ordinary falling factorial.
+    gives x**n and lam = 1 the ordinary falling factorial.  An array x
+    gives an array of its shape, each element as a scalar call gives it.
     """
-    if n < 0:
-        raise ParameterError(f"order n must be >= 0, got {n}")
-    out = 1.0
+    n = _non_negative_int(n, "order n")
+    out = np.ones(np.shape(x)) if isinstance(x, np.ndarray) else 1.0
     for j in range(n):
         out *= x - j * lam
     return out
@@ -57,6 +72,8 @@ def degenerate_exp(x: float, lam: float, t: float) -> float:
     Defined on the principal real branch, so 1 + lam*t must be positive;
     lam must be nonzero.  Reduces to exp(x*t) as lam -> 0.
     """
+    if math.isnan(x) or math.isnan(lam) or math.isnan(t):
+        raise ParameterError(f"degenerate_exp of nan: x={x}, lam={lam}, t={t}")
     if lam == 0.0:
         raise ParameterError("degenerate_exp requires lam != 0 (use exp for the limit)")
     base = 1.0 + lam * t
@@ -64,7 +81,12 @@ def degenerate_exp(x: float, lam: float, t: float) -> float:
         raise ParameterError(
             f"degenerate_exp outside principal branch: 1 + lam*t = {base} <= 0"
         )
-    return base ** (x / lam)
+    try:
+        return base ** (x / lam)
+    except OverflowError:
+        raise RangeError(
+            f"degenerate_exp({x}, {lam}, {t}) is past the largest double"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -77,13 +99,16 @@ class StirlingTable:
     """
 
     lam: float
-    max_n: int
     entries: np.ndarray
 
+    @property
+    def max_n(self) -> int:
+        return len(self.entries) - 1
+
     def value(self, n: int, k: int) -> float:
-        if not 0 <= n <= self.max_n:
+        if _non_negative_int(n, "n") > self.max_n:
             raise ParameterError(f"n={n} outside table range 0..{self.max_n}")
-        if not 0 <= k <= n:
+        if _non_negative_int(k, "k") > n:
             return 0.0
         return float(self.entries[n, k])
 
@@ -100,21 +125,22 @@ class LogStirlingTable:
     """
 
     lam: float
-    max_n: int
     log_entries: np.ndarray
 
+    @property
+    def max_n(self) -> int:
+        return len(self.log_entries) - 1
+
     def log_value(self, n: int, k: int) -> float:
-        if not 0 <= n <= self.max_n:
+        if _non_negative_int(n, "n") > self.max_n:
             raise ParameterError(f"n={n} outside table range 0..{self.max_n}")
-        if not 0 <= k <= n:
+        if _non_negative_int(k, "k") > n:
             return -math.inf
         return float(self.log_entries[n, k])
 
 
 def _check_cap(max_n: int, cap: int) -> None:
-    if max_n < 0:
-        raise ParameterError(f"max_n must be >= 0, got {max_n}")
-    if max_n > cap:
+    if _non_negative_int(max_n, "max_n") > cap:
         raise ConvergenceError(f"max_n={max_n} exceeds table cap {cap}")
 
 
@@ -134,10 +160,10 @@ def build_stirling_table(lam: float, max_n: int) -> StirlingTable:
     entries = np.zeros((max_n + 1, max_n + 1))
     entries[0, 0] = 1.0
     for n in range(max_n):
-        for k in range(1, n + 2):
-            entries[n + 1, k] = entries[n, k - 1] + (k - n * lam) * entries[n, k]
+        factor = np.arange(1, n + 2) - n * lam
+        entries[n + 1, 1 : n + 2] = entries[n, 0 : n + 1] + factor * entries[n, 1 : n + 2]
     entries.setflags(write=False)
-    return StirlingTable(lam=lam, max_n=max_n, entries=entries)
+    return StirlingTable(lam=lam, entries=entries)
 
 
 def build_log_stirling_table(lam: float, max_n: int) -> LogStirlingTable:
@@ -168,7 +194,7 @@ def build_log_stirling_table(lam: float, max_n: int) -> LogStirlingTable:
             )
             log_entries[n + 1, 1 : n + 2] = np.logaddexp(prev_shift, grown)
     log_entries.setflags(write=False)
-    return LogStirlingTable(lam=lam, max_n=max_n, log_entries=log_entries)
+    return LogStirlingTable(lam=lam, log_entries=log_entries)
 
 
 def bell_poly(n: int, x: float, table: StirlingTable) -> float:
@@ -177,8 +203,10 @@ def bell_poly(n: int, x: float, table: StirlingTable) -> float:
     Compensated summation (math.fsum); the coefficients alternate in
     sign for some lam, so naive accumulation can lose digits.
     """
-    if n < 0 or n > table.max_n:
+    if _non_negative_int(n, "n") > table.max_n:
         raise ParameterError(f"n={n} outside table range 0..{table.max_n}")
+    if not math.isfinite(x):
+        raise ParameterError(f"x must be finite, got {x}")
     if n == 0:
         return 1.0
     row = table.entries[n]
@@ -190,13 +218,7 @@ def bell_number(n: int, table: StirlingTable) -> float:
     return bell_poly(n, 1.0, table)
 
 
-def bell_poly_dobinski(
-    n: int,
-    x: float,
-    lam: float,
-    tol: float = 1e-12,
-    max_terms: int = _DOBINSKI_MAX_TERMS,
-) -> float:
+def bell_poly_dobinski(n: int, x: float, lam: float, tol: float = 1e-12) -> float:
     """Degenerate Bell polynomial by its exponentially weighted series.
 
     Sums exp(-x) * sum_k ff(k, n, lam) * x**k / k! until the remaining
@@ -207,26 +229,27 @@ def bell_poly_dobinski(
 
     is decreasing in k, so once r_k <= 1/2 the tail after term k is at
     most term_k * r_k / (1 - r_k); we stop when that bound (times the
-    exp(-x) prefactor) drops below tol.
+    exp(-x) prefactor) drops below tol (ConvergenceError past
+    _DOBINSKI_MAX_TERMS terms).
 
     Independent of the table route in bell_poly: the two are
     cross-checked by the test suite.
     """
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if x <= 0.0:
-        raise ParameterError(f"series route requires x > 0, got {x}")
-    if tol <= 0.0:
+    n = _non_negative_int(n, "n")
+    if not 0.0 < x < math.inf:
+        raise ParameterError(f"series route requires finite x > 0, got {x}")
+    if not tol > 0.0:  # also refuses nan
         raise ParameterError(f"tol must be > 0, got {tol}")
     prefactor = math.exp(-x)
     terms: list[float] = []
     term_prev = None
     log_xk_over_kfact = 0.0  # log(x**k / k!) accumulated incrementally
-    for k in range(max_terms):
+    for k in range(_DOBINSKI_MAX_TERMS):
+        if k % 64 == 0:  # the falling factorials of the next 64 values of k
+            ffs = falling_factorial(np.arange(k, k + 64.0), n, lam).tolist()
         if k > 0:
             log_xk_over_kfact += math.log(x) - math.log(k)
-        ff_k = falling_factorial(float(k), n, lam)
-        term = ff_k * math.exp(log_xk_over_kfact)
+        term = ffs[k % 64] * math.exp(log_xk_over_kfact)
         terms.append(term)
         if k > n and term_prev is not None and term_prev > 0.0:
             ratio = term / term_prev
@@ -237,7 +260,7 @@ def bell_poly_dobinski(
         term_prev = term
     raise ConvergenceError(
         f"series for n={n}, x={x}, lam={lam} did not certify tol={tol} "
-        f"within {max_terms} terms"
+        f"within {_DOBINSKI_MAX_TERMS} terms"
     )
 
 
@@ -256,8 +279,7 @@ def stirling2_classical(n: int, k: int) -> float:
     Standard recurrence S(n, k) = k*S(n-1, k) + S(n-1, k-1); exact
     integer arithmetic internally.  Intended for small n (<= 25).
     """
-    if n < 0 or k < 0:
-        raise ParameterError("indices must be nonnegative")
+    n, k = _non_negative_int(n, "n"), _non_negative_int(k, "k")
     if n > 25:
         raise ParameterError(f"classical reference capped at n <= 25, got n={n}")
     return float(_stirling2_classical_cached(n, k))
@@ -265,8 +287,7 @@ def stirling2_classical(n: int, k: int) -> float:
 
 def bell_poly_classical(n: int, x: float) -> float:
     """Classical Bell (Touchard) polynomial: sum_k S2(n, k) * x**k."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    n = _non_negative_int(n, "n")
     if n > 25:
         raise ParameterError(f"classical reference capped at n <= 25, got n={n}")
     return math.fsum(_stirling2_classical_cached(n, k) * x**k for k in range(n + 1))

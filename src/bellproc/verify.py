@@ -291,26 +291,25 @@ def chisq_pvalue_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _kernel_checks() -> list[CheckResult]:
+    # One triangle per order; a row's values do not depend on max_n.
+    tables = {lam: build_stirling_table(lam, 20) for lam in GRID_LAM}
     out = []
     # Triangle vs the definitional identity at integer points.
+    xs = np.arange(1.0, 22.0)
+    ordinary = [falling_factorial(xs, k, 1.0).tolist() for k in range(21)]  # (x)_k at every x
     worst = 0.0
-    for lam in GRID_LAM:
-        table = build_stirling_table(lam, 20)
+    for lam, table in tables.items():
         for n in range(21):
-            for x in range(1, n + 2):
-                lhs = falling_factorial(float(x), n, lam)
-                rhs = math.fsum(
-                    table.entries[n, k] * falling_factorial(float(x), k, 1.0)
-                    for k in range(n + 1)
-                )
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+            lhs = falling_factorial(xs[: n + 1], n, lam).tolist()
+            for i in range(n + 1):
+                rhs = math.fsum(table.entries[n, k] * ordinary[k][i] for k in range(n + 1))
+                worst = max(worst, abs(lhs[i] - rhs) / max(1.0, abs(lhs[i])))
     out.append(_check_le("kernel.triangle_identity", worst, 1e-9))
 
     # Series route vs table route.  Scale-relative: the values reach
     # ~1e20 at n = 20, x = 5, where doubles are spaced ~1e4 apart.
     worst = 0.0
-    for lam in GRID_LAM:
-        table = build_stirling_table(lam, 20)
+    for lam, table in tables.items():
         for n in range(21):
             for x in (0.5, 1.0, 2.0, 5.0):
                 ref = bell_poly(n, x, table)
@@ -320,25 +319,27 @@ def _kernel_checks() -> list[CheckResult]:
 
     # Binomial convolution identity of the polynomials.
     worst = 0.0
-    for lam in GRID_LAM:
-        table = build_stirling_table(lam, 15)
+    points = (0.5, 1.0, 2.0)
+    for table in tables.values():
+        poly = {
+            x: [bell_poly(n, x, table) for n in range(16)]
+            for x in {x + y for x in points for y in points}.union(points)
+        }
         for n in range(16):
-            for x in (0.5, 1.0, 2.0):
-                for y in (0.5, 1.0, 2.0):
-                    lhs = bell_poly(n, x + y, table)
+            for x in points:
+                for y in points:
+                    lhs = poly[x + y][n]
                     rhs = math.fsum(
-                        math.comb(n, k) * bell_poly(k, x, table) * bell_poly(n - k, y, table)
-                        for k in range(n + 1)
+                        math.comb(n, k) * poly[x][k] * poly[y][n - k] for k in range(n + 1)
                     )
                     worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     out.append(_check_le("kernel.binomial_identity", worst, 1e-9))
 
     # Order-one collapse to plain powers.
-    table = build_stirling_table(1.0, 20)
     worst = 0.0
     for n in range(21):
         for x in (0.5, 1.0, 2.0, 5.0):
-            worst = max(worst, abs(bell_poly(n, x, table) - x**n) / max(1.0, x**n))
+            worst = max(worst, abs(bell_poly(n, x, tables[1.0]) - x**n) / max(1.0, x**n))
     out.append(_check_le("kernel.order_one_collapse", worst, 1e-12))
     return out
 

@@ -431,6 +431,24 @@ def test_decompose_past_factorial_overflow(m):
         assert abs(lhs - bp.pgf(float(t), params)) <= 1e-10
 
 
+def test_tables_and_jump_laws_freeze_what_they_are_given():
+    probs = np.array([0.5, 0.5])
+    table = bp.PmfTable(bp.validate(1, 1, 0.5), probs, 0.0)
+    law = bp.JumpLaw(1.0, probs)
+    probs[0] = -3.0
+    for held in (table.probs, law.jump_probs):
+        assert not held.flags.writeable and held.tolist() == [0.5, 0.5]
+    # the support is the length of the jump probabilities
+    assert law.support_bound == 2 and law.mean() == 1.5
+    draws = bp.sample_jump(law, bp.RngStream(5), 10_000)
+    assert set(np.unique(draws).tolist()) == {1, 2}
+    # what the builders made read-only is kept, not copied
+    built = bp.build_pmf_table(bp.validate(1, 1, 0.5))
+    assert bp.PmfTable(built.params, built.probs, built.tail_mass).probs is built.probs
+    jumps = bp.decompose(built.params)
+    assert bp.JumpLaw(jumps.burst_rate, jumps.jump_probs).jump_probs is jumps.jump_probs
+
+
 def test_jump_mean_times_rate_is_distribution_mean():
     for params in GRID[:20]:
         law = bp.decompose(params)

@@ -158,6 +158,14 @@ def test_paths_are_read_only():
     assert path.times.tolist() == [0.5] and bp.count_at(path, 1.0) == 2
     with pytest.raises(ValueError):
         path.sizes[0] = 3
+    # so is a read-only view of a writable array; views of the ensemble's own columns are not
+    times = np.array([0.5])
+    view_of_writable = times.view()
+    view_of_writable.setflags(write=False)
+    path = bp.SamplePath(P_HALF, 1.0, view_of_writable, [1])
+    times[0] = -3.0
+    assert path.times.tolist() == [0.5]
+    assert np.shares_memory(view.times, paths.times) and np.shares_memory(view.sizes, paths.sizes)
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +522,7 @@ def test_intensity_error_is_first_order():
 
 
 def test_intensity_domain():
-    for k, s in ((0, 0.1), (1, 0.0), (1, math.nan)):
+    for k, s in ((0, 0.1), (1.5, 0.1), (True, 0.1), (1, 0.0), (1, math.nan)):
         with pytest.raises(bp.ParameterError):
             bp.small_s_intensity(k, P_HALF, s)
 

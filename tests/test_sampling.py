@@ -154,7 +154,7 @@ def test_compound_order_one_is_poisson():
 
 
 def test_compound_vanishing_rate_gives_zero():
-    law = bp.JumpLaw(burst_rate=1e-9, jump_probs=np.array([1.0]), support_bound=1)
+    law = bp.JumpLaw(burst_rate=1e-9, jump_probs=np.array([1.0]))
     draws = bp.sample_compound(law, bp.RngStream(41), 10_000)
     assert (draws == 0).mean() > 0.999
 

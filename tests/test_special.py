@@ -3,13 +3,17 @@ Bell polynomials, and their classical limit references."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellproc import special
 from bellproc import (
     ConvergenceError,
     ParameterError,
+    RangeError,
+    StirlingTable,
     bell_number,
     bell_poly,
     bell_poly_classical,
@@ -63,6 +67,43 @@ def test_falling_factorial_rejects_negative_order():
         falling_factorial(1.0, -1, 0.5)
 
 
+def test_falling_factorial_over_an_array_matches_scalar_calls():
+    xs = np.linspace(-7.0, 9.0, 12).reshape(3, 4)
+    for n in (0, 1, 5, 17):
+        for lam in (0.0, 0.3, 1.0, -1.5):
+            got = falling_factorial(xs, n, lam)
+            assert got.shape == xs.shape
+            assert got.tolist() == [[falling_factorial(float(x), n, lam) for x in row] for row in xs]
+    assert falling_factorial(xs, 0, 0.5).tolist() == np.ones((3, 4)).tolist()
+
+
+def test_orders_and_indices_must_be_non_negative_integers():
+    table = build_stirling_table(0.5, 5)
+    log_table = build_log_stirling_table(0.5, 5)
+    refused = (
+        lambda: falling_factorial(2.0, 2.5, 0.5),
+        lambda: falling_factorial(2.0, True, 0.5),
+        lambda: build_stirling_table(0.5, 2.5),
+        lambda: build_log_stirling_table(0.5, True),
+        lambda: bell_poly(2.5, 1.0, table),
+        lambda: bell_poly(True, 2.0, table),
+        lambda: table.value(2.5, 1),
+        lambda: table.value(2, 1.5),
+        lambda: table.value(2, -1),
+        lambda: log_table.log_value(2.5, 1),
+        lambda: bell_poly_dobinski(2.5, 1.0, 0.5),
+        lambda: stirling2_classical(2.5, 1),
+        lambda: stirling2_classical(3, 1.5),
+        lambda: bell_poly_classical(2.5, 1.0),
+    )
+    for call in refused:
+        with pytest.raises(ParameterError):
+            call()
+    # numpy integers are integers
+    assert bell_poly(np.int64(2), 1.0, table) == bell_poly(2, 1.0, table)
+    assert table.value(np.int64(2), np.int64(3)) == 0.0
+
+
 # ----------------------------------------------------------------------
 # degenerate_exp
 
@@ -84,6 +125,10 @@ def test_degenerate_exp_domain_errors():
         degenerate_exp(1.0, 0.5, -3.0)  # 1 + lam*t < 0
     with pytest.raises(ParameterError):
         degenerate_exp(1.0, 0.0, 1.0)
+    with pytest.raises(ParameterError):
+        degenerate_exp(1.0, math.nan, 1.0)
+    with pytest.raises(RangeError):
+        degenerate_exp(1e3, 1e-3, 1e3)
 
 
 def test_degenerate_exp_approaches_exp():
@@ -97,6 +142,25 @@ def test_degenerate_exp_approaches_exp():
 def test_table_trivial():
     table = build_stirling_table(0.5, 0)
     assert table.value(0, 0) == 1.0
+
+
+@pytest.mark.parametrize("lam", STRICT_LAMS + (0.7, 0.37, 1e-3))
+def test_table_rows_match_the_cell_recurrence(lam):
+    # the cell-by-cell recurrence as the reference: the row-wise fill
+    # performs the same operations on every cell, so the bits agree
+    ref = np.zeros((61, 61))
+    ref[0, 0] = 1.0
+    for n in range(60):
+        for k in range(1, n + 2):
+            ref[n + 1, k] = ref[n, k - 1] + (k - n * lam) * ref[n, k]
+    assert build_stirling_table(lam, 60).entries.tobytes() == ref.tobytes()
+
+
+def test_table_size_comes_from_its_entries():
+    table = StirlingTable(0.5, build_stirling_table(0.5, 5).entries)
+    assert table.max_n == 5
+    with pytest.raises(ParameterError):
+        table.value(7, 2)
 
 
 def test_table_first_column_half():
@@ -239,6 +303,9 @@ def test_bell_poly_out_of_range():
     table = build_stirling_table(0.5, 5)
     with pytest.raises(ParameterError):
         bell_poly(6, 1.0, table)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            bell_poly(3, x, table)
 
 
 @pytest.mark.parametrize("lam", STRICT_LAMS)
@@ -288,13 +355,18 @@ def test_dobinski_agrees_with_table(lam):
             assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
-def test_dobinski_domain_errors():
+def test_dobinski_domain_errors(monkeypatch):
     with pytest.raises(ParameterError):
         bell_poly_dobinski(2, -1.0, 0.5, 1e-12)
     with pytest.raises(ParameterError):
         bell_poly_dobinski(2, 1.0, 0.5, 0.0)
+    # refused up front, not after every term of a series that cannot certify
+    for x, tol in ((math.inf, 1e-12), (math.nan, 1e-12), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            bell_poly_dobinski(2, x, 0.5, tol)
+    monkeypatch.setattr(special, "_DOBINSKI_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
-        bell_poly_dobinski(2, 1.0, 0.5, 1e-12, max_terms=3)
+        bell_poly_dobinski(2, 1.0, 0.5, 1e-12)
 
 
 # ----------------------------------------------------------------------

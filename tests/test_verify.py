@@ -92,7 +92,7 @@ def test_poisson_pmf_against_scipy():
 
 
 def _rate_fault(law):
-    return JumpLaw(1.02 * law.burst_rate, law.jump_probs, law.support_bound)
+    return JumpLaw(1.02 * law.burst_rate, law.jump_probs)
 
 
 def _jump_fault(law):
@@ -102,7 +102,7 @@ def _jump_fault(law):
         return law
     probs = law.jump_probs.copy()
     probs[:2] += (-0.02, 0.02)
-    return JumpLaw(law.burst_rate, probs, law.support_bound)
+    return JumpLaw(law.burst_rate, probs)
 
 
 @pytest.mark.parametrize("fault", [_rate_fault, _jump_fault], ids=["rate_x1.02", "jump_0.02_to_2"])
