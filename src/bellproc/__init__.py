@@ -39,7 +39,6 @@ from .errors import (
 )
 from .process import (
     PathEnsemble,
-    SamplePath,
     count_at,
     increment,
     laplace_functional,
@@ -83,7 +82,6 @@ __all__ = [
     "PmfTable",
     "RangeError",
     "RngStream",
-    "SamplePath",
     "StirlingTable",
     "TailSliverError",
     "Validity",

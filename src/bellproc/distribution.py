@@ -48,7 +48,7 @@ from .errors import (
     RangeError,
     TailSliverError,
 )
-from .special import RECIPROCAL_INT_TOL
+from .special import RECIPROCAL_INT_TOL, _frozen, _non_negative_int, _read_only
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -104,21 +104,6 @@ def _log_e(lam: float, x: float) -> float:
     """log e_lam(x) = log1p(lam*x) / lam; x itself where lam*x underflows."""
     y = lam * x
     return math.log1p(y) / lam if abs(y) > 1e-300 else x
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-def _frozen(values) -> np.ndarray:
-    """``values`` read-only: kept if it and the array that owns its memory
-    are read-only already, else copied once."""
-    if isinstance(values, np.ndarray) and not values.flags.writeable:
-        owner = values if values.base is None else values.base
-        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
-            return values
-    return _read_only(np.array(values))
 
 
 def burst_rate(alpha: float, theta: float, lam: float) -> float:
@@ -284,8 +269,7 @@ def log_pmf(k: int, params: DegenParams) -> float:
     or from the recurrence run to k where the table's entry underflows
     or k lies past its end.
     """
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    k = _non_negative_int(k, "k")
     probs = _pmf_table(params, DEFAULT_TAIL_TOL).probs
     if k < len(probs) and probs[k] >= sys.float_info.min:
         return math.log(probs[k])
@@ -394,8 +378,7 @@ def _pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
 
 def cdf(k: int, params: DegenParams, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Partial sum of the masses through k."""
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    k = _non_negative_int(k, "k")
     return _pmf_table(params, tail_tol).cdf(k)
 
 

@@ -12,17 +12,16 @@ process: given N(T) = k bursts on (0, T], their epochs are k iid
 uniforms on (0, T] in sorted order.  An ensemble of n paths therefore
 takes n Poisson(R*T) burst counts, one batch of uniform epochs sorted
 within each path, and one batch of jump sizes, with no loop over paths
-or bursts.  It is held as ragged columns (:class:`PathEnsemble`) whose
-items are :class:`SamplePath` views; counting and superposition run on
-the columns.  Ensembles and single paths hold their arrays read-only and
-are checked by one rule, :func:`_check_paths`.  Writing them out as text
-is left to :mod:`bellproc.cli`.
+or bursts.  It is held as ragged columns (:class:`PathEnsemble`), and
+one path is a one-path ensemble: simulation, counting and superposition
+all take and give that one type.  An ensemble holds its columns
+read-only and is checked by one rule, :func:`_check_paths`.  Writing it
+out as text is left to :mod:`bellproc.cli`.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,29 +33,27 @@ from .distribution import (
     Validity,
     _LOG_MAX,
     _exp_series,
-    _frozen,
     _log_e,
-    _read_only,
     _same_family,
     decompose,
     validate,
 )
 from .errors import IncompatibleParametersError, ParameterError
 from .sampling import RngStream, sample_jump, sample_poisson
-from .special import _non_negative_int
+from .special import _frozen, _non_negative_int, _read_only
 
 
 def _check_paths(
-    horizon: float, times: np.ndarray, sizes: np.ndarray, offsets: np.ndarray | None = None
+    horizon: float, times: np.ndarray, sizes: np.ndarray, offsets: np.ndarray
 ) -> None:
-    """Raise ParameterError where paths break the :class:`SamplePath`
-    invariants.  ``offsets`` bound the paths of an ensemble, where a time
-    may fall back only at a path start; None holds one path."""
+    """Raise ParameterError where an ensemble breaks the
+    :class:`PathEnsemble` invariants.  ``offsets`` bound its paths, and
+    a time may fall back only where a path starts."""
     if not horizon > 0.0:  # also refuses nan
         raise ParameterError(f"horizon must be positive, got {horizon}")
     if len(times) != len(sizes):
         raise ParameterError("times and sizes must have equal length")
-    if offsets is not None and (
+    if (
         len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(times)
         or (np.diff(offsets) < 0).any()
     ):
@@ -64,48 +61,15 @@ def _check_paths(
     if len(times) == 0:
         return
     rising = times[1:] > times[:-1]
-    if offsets is None:
-        low, high = times[0], times[-1]
-    else:
-        starts = offsets[1:-1]
-        rising[starts[(starts > 0) & (starts < len(times))] - 1] = True
-        low, high = times.min(), times.max()
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < len(times))] - 1] = True
+    low, high = times.min(), times.max()
     if not rising.all():
         raise ParameterError("burst times must be strictly increasing within a path")
     if not (low > 0.0 and high <= horizon):  # also refuses nan
         raise ParameterError("burst times must lie in (0, horizon]")
     if (sizes < 1).any():
         raise ParameterError("burst sizes must be >= 1")
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """One realized trajectory over [0, T].
-
-    Bursts live strictly in (0, T], times strictly increasing, sizes
-    positive integers (at most m when lam = 1/m).  The count starts at
-    zero and jumps by ``sizes[i]`` at ``times[i]``; a burst at exactly T
-    is included in the count at T (right-continuous convention).
-    Immutable: times, sizes and cumulative are read-only.
-    """
-
-    params: DegenParams
-    horizon: float
-    times: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _frozen(self.times))
-        object.__setattr__(self, "sizes", _frozen(self.sizes))
-        _check_paths(self.horizon, self.times, self.sizes)
-
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        return _read_only(np.cumsum(self.sizes))
-
-    @property
-    def total(self) -> int:
-        return int(self.cumulative[-1]) if len(self.sizes) else 0
 
 
 # Simulations expected to hold more than this many bursts, or asking for
@@ -120,11 +84,16 @@ class PathEnsemble(Sequence):
     """Independent trajectories of one process over [0, T], as columns.
 
     Path i owns the bursts ``times[offsets[i]:offsets[i+1]]`` with the
-    matching ``sizes``; every path satisfies the :class:`SamplePath`
-    invariants.  Indexing gives a :class:`SamplePath` view of one path,
-    slicing gives a sub-ensemble, and iteration yields the views in
-    order.  Immutable: the columns, owners and cumulative are read-only,
-    and so are the views.
+    matching ``sizes``.  Within a path, bursts lie in (0, T], times
+    strictly increase and sizes are positive integers (at most m when
+    lam = 1/m).  A path's count starts at zero and jumps by ``sizes[j]``
+    at ``times[j]``; a burst at exactly T counts at T (right-continuous
+    convention).  One path is an ensemble of length 1.  Indexing gives
+    path i as such an ensemble, whose columns are views of these;
+    slicing gives a sub-ensemble, and iteration yields the one-path
+    ensembles in order.  Immutable: the columns, owners and cumulative
+    are read-only (a caller's arrays are copied unless their memory is
+    read-only already).
     """
 
     params: DegenParams
@@ -138,12 +107,6 @@ class PathEnsemble(Sequence):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         _check_paths(self.horizon, self.times, self.sizes, self.offsets)
 
-    @classmethod
-    def of(cls, path: SamplePath) -> "PathEnsemble":
-        """The one-path ensemble holding ``path``."""
-        offsets = np.array([0, len(path.times)])
-        return _made(path.params, path.horizon, offsets, path.times, path.sizes)
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -153,20 +116,16 @@ class PathEnsemble(Sequence):
             counts = np.diff(self.offsets)[picked]
             offsets = np.concatenate(([0], np.cumsum(counts)))
             rows = np.repeat(self.offsets[picked] - offsets[:-1], counts) + np.arange(offsets[-1])
-            return _made(self.params, self.horizon, offsets, self.times[rows], self.sizes[rows])
-        i = range(len(self))[index]  # IndexError past either end, as for a list
-        view = self._views.get(i)
-        if view is None:
+        else:
+            i = range(len(self))[index]  # IndexError past either end, as for a list
             a, b = self.offsets[i], self.offsets[i + 1]
-            view = SamplePath(self.params, self.horizon, self.times[a:b], self.sizes[a:b])
-            self._views[i] = view
-        return view
-
-    @cached_property
-    def _views(self) -> weakref.WeakValueDictionary:
-        # Indexing gives back a view still in use, as a list gives back the
-        # same item, without keeping every view of a large ensemble alive.
-        return weakref.WeakValueDictionary()
+            offsets, rows = np.array([0, b - a]), slice(a, b)
+        # Whole paths of a checked ensemble hold its invariants, so the part
+        # skips __post_init__: its columns are not copied or checked again.
+        part = object.__new__(PathEnsemble)
+        vars(part).update(params=self.params, horizon=self.horizon, offsets=_read_only(offsets))
+        vars(part).update(times=_read_only(self.times[rows]), sizes=_read_only(self.sizes[rows]))
+        return part
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -181,7 +140,7 @@ class PathEnsemble(Sequence):
 
     def counts_at(self, ts) -> np.ndarray:
         """Counts of every path at every time in ``ts``, as an array of
-        shape (n_paths, len(ts)); :func:`count_at` of each view."""
+        shape (n_paths, len(ts)); :func:`count_at` of each path."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ParameterError("ts must be a one-dimensional sequence of times")
@@ -203,12 +162,6 @@ class PathEnsemble(Sequence):
         return counts
 
 
-def _made(params, horizon, offsets, times, sizes) -> PathEnsemble:
-    """Ensemble of columns the library has just made: flagged read-only
-    in place, not copied."""
-    return PathEnsemble(params, horizon, *map(_read_only, (offsets, times, sizes)))
-
-
 def _coalesced(
     params: DegenParams,
     horizon: float,
@@ -228,7 +181,8 @@ def _coalesced(
             owners, times = owners[starts], times[starts]
             sizes = np.add.reduceat(sizes, starts)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=n_paths))))
-    return _made(params, horizon, offsets, times, sizes)
+    # columns made here are flagged read-only in place, not copied
+    return PathEnsemble(params, horizon, *map(_read_only, (offsets, times, sizes)))
 
 
 def simulate_paths(
@@ -266,39 +220,41 @@ def simulate_paths(
     return _coalesced(params, horizon, n_paths, owners, epochs, sizes)
 
 
-def simulate_path(params: DegenParams, horizon: float, rng: RngStream) -> SamplePath:
-    """Simulate one trajectory on (0, horizon]: the one-path ensemble of
-    :func:`simulate_paths` (a Poisson burst count, sorted uniform
-    epochs, iid jump sizes)."""
-    return simulate_paths(params, horizon, 1, rng)[0]
+def simulate_path(params: DegenParams, horizon: float, rng: RngStream) -> PathEnsemble:
+    """Simulate one trajectory on (0, horizon]: :func:`simulate_paths`
+    with one path (a Poisson burst count, sorted uniform epochs, iid jump
+    sizes), returned as that one-path ensemble."""
+    return simulate_paths(params, horizon, 1, rng)
 
 
-def count_at(path: SamplePath, t: float) -> int:
-    """Total count by time t (0 at t = 0; nondecreasing step function)."""
+def count_at(path: PathEnsemble, t: float) -> int:
+    """Count of a one-path ensemble by time t (0 at t = 0; a
+    nondecreasing step function).  :meth:`PathEnsemble.counts_at`
+    counts every path of a larger ensemble."""
+    if len(path) != 1:
+        raise ParameterError(f"count_at takes one path, got {len(path)}; use counts_at")
     if not 0.0 <= t <= path.horizon:
         raise ParameterError(f"t={t} outside [0, {path.horizon}]")
-    idx = int(np.searchsorted(path.times, t, side="right"))
-    return int(path.cumulative[idx - 1]) if idx else 0
+    return int(path.sizes[: np.searchsorted(path.times, t, side="right")].sum())
 
 
-def increment(path: SamplePath, s: float, t: float) -> int:
-    """Events in the interval (s, t]."""
+def increment(path: PathEnsemble, s: float, t: float) -> int:
+    """Events of a one-path ensemble in the interval (s, t]."""
     if s >= t:
         raise ParameterError(f"need s < t, got s={s}, t={t}")
     return count_at(path, t) - count_at(path, s)
 
 
-def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEnsemble:
+def superpose(paths: Sequence[PathEnsemble]) -> PathEnsemble:
     """Pathwise sum of independent trajectories.
 
-    Each item is a :class:`SamplePath`, taken as a one-path ensemble, or
-    a :class:`PathEnsemble`; all hold equally many paths, and path i of
-    the sum merges path i of every item.  Closed within the family only
-    when every item shares theta, lam and the horizon; the sum carries
-    the summed rate parameter.  Coincident burst times within a merged
-    path (possible only as an fp artifact) are coalesced by summing
-    their sizes.  The sum is a SamplePath when every item is one, and a
-    single item is returned as it is.
+    The items are ensembles holding equally many paths (one path is a
+    one-path ensemble), and path i of the sum merges path i of every
+    item.  Closed within the family only when every item shares theta,
+    lam and the horizon; the sum carries the summed rate parameter.
+    Coincident burst times within a merged path (possible only as an fp
+    artifact) are coalesced by summing their sizes.  A single item is
+    returned as it is.
     """
     if not paths:
         raise ParameterError("need at least one path")
@@ -313,21 +269,19 @@ def superpose(paths: Sequence[SamplePath | PathEnsemble]) -> SamplePath | PathEn
             raise IncompatibleParametersError("superposition requires a common horizon")
     if len(paths) == 1:
         return first
-    ensembles = [p if isinstance(p, PathEnsemble) else PathEnsemble.of(p) for p in paths]
-    n_paths = len(ensembles[0])
-    if any(len(e) != n_paths for e in ensembles):
+    n_paths = len(first)
+    if any(len(p) != n_paths for p in paths):
         raise IncompatibleParametersError("superposition requires equally many paths")
-    owners = np.concatenate([e.owners for e in ensembles])
-    times = np.concatenate([e.times for e in ensembles])
-    sizes = np.concatenate([e.sizes for e in ensembles])
+    owners = np.concatenate([p.owners for p in paths])
+    times = np.concatenate([p.times for p in paths])
+    sizes = np.concatenate([p.sizes for p in paths])
     order = np.lexsort((times, owners))
     merged_params = validate(
         math.fsum(p.params.alpha for p in paths), first.params.theta, first.params.lam
     )
-    merged = _coalesced(
+    return _coalesced(
         merged_params, first.horizon, n_paths, owners[order], times[order], sizes[order]
     )
-    return merged if any(isinstance(p, PathEnsemble) for p in paths) else merged[0]
 
 
 def laplace_functional(params: DegenParams, t: float, x: float) -> float:

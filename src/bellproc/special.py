@@ -15,7 +15,8 @@ and ``1 + lam*t > 0``.  Every order and index (n, k, ``max_n``) is a
 non-negative integer, checked by one rule, :func:`_non_negative_int`,
 which the samplers and the path simulator use too; bools are refused.
 Triangles are filled a row at a time, and a triangle's size is the size
-of its entries.
+of its entries.  Every array the library holds is frozen by one rule,
+:func:`_frozen`, kept here in the bottom layer for the layers above.
 """
 
 from __future__ import annotations
@@ -50,6 +51,30 @@ def _non_negative_int(value, name: str) -> int:
     if value < 0:
         raise ParameterError(f"{name} must be non-negative, got {value}")
     return int(value)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` read-only: kept if it and the array that owns its memory
+    are read-only already, else copied once."""
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        owner = values if values.base is None else values.base
+        if isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
+            return values
+    return _read_only(np.array(values))
+
+
+def _square(entries) -> np.ndarray:
+    """A triangle's entries, frozen; ParameterError unless they form a
+    square 2-D array."""
+    entries = _frozen(entries)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ParameterError(f"triangle entries must form a square array, got {entries.shape}")
+    return entries
 
 
 def falling_factorial(x, n: int, lam: float):
@@ -95,11 +120,15 @@ class StirlingTable:
 
     ``entries[n, k]`` expands the generalized falling factorial of order
     n over the ordinary falling-factorial basis.  Immutable; safe to
-    share between threads.
+    share between threads: entries are read-only (copied unless their
+    memory is read-only already).
     """
 
     lam: float
     entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", _square(self.entries))
 
     @property
     def max_n(self) -> int:
@@ -121,11 +150,15 @@ class LogStirlingTable:
     (the generating function ((1 + t/m)**m - 1)**k / k! has nonnegative
     coefficients), so the recurrence never subtracts and the whole
     triangle is representable as logs, with -inf marking exact zeros,
-    at indices far past linear-domain overflow.
+    at indices far past linear-domain overflow.  Immutable, as
+    :class:`StirlingTable` is.
     """
 
     lam: float
     log_entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_entries", _square(self.log_entries))
 
     @property
     def max_n(self) -> int:
@@ -154,14 +187,22 @@ def build_stirling_table(lam: float, max_n: int) -> StirlingTable:
     obtained by multiplying the defining expansion by (x - n*lam) and
     rewriting x * (x)_k = (x)_{k+1} + k * (x)_k.  The recurrence is
     checked against the definitional identity (evaluation at integer
-    points) by the test suite.
+    points) by the test suite.  RangeError names the first row with an
+    entry past the largest double.
     """
     _check_cap(max_n, MAX_TABLE_N)
     entries = np.zeros((max_n + 1, max_n + 1))
     entries[0, 0] = 1.0
-    for n in range(max_n):
-        factor = np.arange(1, n + 2) - n * lam
-        entries[n + 1, 1 : n + 2] = entries[n, 0 : n + 1] + factor * entries[n, 1 : n + 2]
+    try:
+        with np.errstate(over="raise"):
+            for n in range(max_n):
+                factor = np.arange(1, n + 2) - n * lam
+                entries[n + 1, 1 : n + 2] = entries[n, 0 : n + 1] + factor * entries[n, 1 : n + 2]
+    except FloatingPointError:
+        raise RangeError(
+            f"row {n + 1} of the lam={lam} triangle is past the largest double; "
+            f"max_n={max_n} must be at most {n}"
+        ) from None
     entries.setflags(write=False)
     return StirlingTable(lam=lam, entries=entries)
 

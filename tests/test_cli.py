@@ -263,7 +263,7 @@ def test_simulate_refuses_huge_horizon_promptly(horizon):
 
 
 def _simulate_one_path_at_a_time(seed, horizon, n_paths, marginal, fmt):
-    """The simulate output rendered from SamplePath views, one at a time."""
+    """The simulate output rendered from one-path ensembles, one path at a time."""
     params = bp.validate(1.0, 1.0, 0.5)
     paths = list(bp.simulate_paths(params, horizon, n_paths, bp.RngStream(seed)))
     hist = None

@@ -116,6 +116,18 @@ def test_pmf_rejects_negative_k():
         bp.pmf(-1, bp.validate(1, 1, 1))
 
 
+def test_lookups_take_integer_k():
+    p = bp.validate(1, 1, 0.5)
+    for lookup, k in (
+        (bp.pmf, 2.5), (bp.pmf, 3.0), (bp.log_pmf, 2.5), (bp.cdf, 2.5), (bp.cdf, math.nan),
+        (bp.pmf, True), (bp.pmf, math.nan), (bp.cdf, -1),
+    ):
+        with pytest.raises(ParameterError):
+            lookup(k, p)
+    assert bp.pmf(np.int64(2), p) == bp.pmf(2, p)
+    assert bp.cdf(np.int32(2), p) == bp.cdf(2, p)
+
+
 def test_log_pmf_past_table_end_against_poisson():
     # the table stops near k = 16; k = 5000 extends the recurrence, and
     # its mass (about 1e-16327) is far below the double range

@@ -15,6 +15,11 @@ from bellproc.verify import chisq_pvalue_two_sample, chisq_pvalue_vs_table
 P_HALF = bp.validate(1.0, 1.0, 0.5)
 
 
+def _one_path(times, sizes, horizon=1.0, params=P_HALF):
+    """The one-path ensemble of the given bursts."""
+    return bp.PathEnsemble(params, horizon, [0, len(times)], times, sizes)
+
+
 @pytest.fixture(scope="module")
 def ensemble():
     """20k trajectories of the (1, 1, 1/2) process on [0, 2]."""
@@ -81,9 +86,7 @@ def test_count_at_zero_is_zero(ensemble):
 
 
 def test_count_at_step_function():
-    path = bp.SamplePath(
-        params=P_HALF, horizon=1.0, times=np.array([0.5]), sizes=np.array([2])
-    )
+    path = _one_path(np.array([0.5]), np.array([2]))
     assert bp.count_at(path, 0.4) == 0
     assert bp.count_at(path, 0.5) == 2  # burst at t counts at t
     assert bp.count_at(path, 0.6) == 2
@@ -92,49 +95,50 @@ def test_count_at_step_function():
 def test_count_at_horizon_is_total(ensemble):
     paths, _ = ensemble
     for path in paths[:50]:
-        assert bp.count_at(path, 2.0) == path.total
+        assert bp.count_at(path, 2.0) == path.sizes.sum()
 
 
 def test_count_at_domain():
-    path = bp.SamplePath(params=P_HALF, horizon=1.0, times=np.array([]), sizes=np.array([]))
+    path = _one_path(np.array([]), np.array([]))
     with pytest.raises(bp.ParameterError):
         bp.count_at(path, -0.1)
     with pytest.raises(bp.ParameterError):
         bp.count_at(path, 1.1)
+    assert bp.count_at(path, 1.0) == 0
 
 
 def test_increment_full_window_is_total(ensemble):
     paths, _ = ensemble
     for path in paths[:50]:
-        assert bp.increment(path, 0.0, 2.0) == path.total
+        assert bp.increment(path, 0.0, 2.0) == bp.count_at(path, path.horizon)
 
 
 def test_increment_requires_ordered_times():
-    path = bp.SamplePath(params=P_HALF, horizon=1.0, times=np.array([]), sizes=np.array([]))
+    path = _one_path(np.array([]), np.array([]))
     with pytest.raises(bp.ParameterError):
         bp.increment(path, 0.5, 0.5)
 
 
+def test_count_at_and_increment_take_one_path():
+    paths = bp.PathEnsemble(P_HALF, 1.0, [0, 1, 2], [0.5, 0.25], [1, 2])
+    for call in (lambda: bp.count_at(paths, 0.5), lambda: bp.increment(paths, 0.0, 1.0)):
+        with pytest.raises(bp.ParameterError, match="counts_at"):
+            call()
+    assert [bp.count_at(path, 0.5) for path in paths] == [1, 2]
+
+
 def test_path_rejects_bad_data():
     with pytest.raises(bp.ParameterError):
-        bp.SamplePath(
-            params=P_HALF, horizon=1.0, times=np.array([0.5, 0.4]), sizes=np.array([1, 1])
-        )
+        _one_path(np.array([0.5, 0.4]), np.array([1, 1]))
     with pytest.raises(bp.ParameterError):
-        bp.SamplePath(
-            params=P_HALF, horizon=1.0, times=np.array([0.5]), sizes=np.array([0])
-        )
+        _one_path(np.array([0.5]), np.array([0]))
     with pytest.raises(bp.ParameterError):
-        bp.SamplePath(
-            params=P_HALF, horizon=1.0, times=np.array([1.5]), sizes=np.array([1])
-        )
+        _one_path(np.array([1.5]), np.array([1]))
     with pytest.raises(bp.ParameterError):
-        bp.SamplePath(
-            params=P_HALF, horizon=math.nan, times=np.array([]), sizes=np.array([], dtype=int)
-        )
+        _one_path(np.array([]), np.array([], dtype=int), horizon=math.nan)
     # a nan burst time fails every comparison, so the bound is written to refuse it
     with pytest.raises(bp.ParameterError):
-        bp.SamplePath(P_HALF, 1.0, np.array([math.nan]), np.array([1]))
+        _one_path(np.array([math.nan]), np.array([1]))
     with pytest.raises(bp.ParameterError):
         bp.PathEnsemble(P_HALF, 1.0, np.array([0, 1]), np.array([math.nan]), np.array([1]))
 
@@ -144,7 +148,7 @@ def test_paths_are_read_only():
     view = paths[int(np.argmax(np.diff(paths.offsets)))]
     arrays = (
         paths.offsets, paths.times, paths.sizes, paths.owners, paths.cumulative,
-        view.times, view.sizes, view.cumulative,
+        view.offsets, view.times, view.sizes, view.cumulative,
     )
     for array in arrays:
         with pytest.raises(ValueError):
@@ -153,7 +157,7 @@ def test_paths_are_read_only():
         paths.times[0] = -5.0
     # a caller's writable array or list is copied once, so later writes do not reach the path
     times = np.array([0.5])
-    path = bp.SamplePath(P_HALF, 1.0, times, [2])
+    path = _one_path(times, [2])
     times[0] = 5.0
     assert path.times.tolist() == [0.5] and bp.count_at(path, 1.0) == 2
     with pytest.raises(ValueError):
@@ -162,7 +166,7 @@ def test_paths_are_read_only():
     times = np.array([0.5])
     view_of_writable = times.view()
     view_of_writable.setflags(write=False)
-    path = bp.SamplePath(P_HALF, 1.0, view_of_writable, [1])
+    path = _one_path(view_of_writable, [1])
     times[0] = -3.0
     assert path.times.tolist() == [0.5]
     assert np.shares_memory(view.times, paths.times) and np.shares_memory(view.sizes, paths.sizes)
@@ -214,7 +218,8 @@ def test_independent_increments_correlation(ensemble):
 
 def test_superpose_single_path_identity(ensemble):
     paths, _ = ensemble
-    assert bp.superpose([paths[0]]) is paths[0]
+    path = paths[0]
+    assert bp.superpose([path]) is path
 
 
 def test_superpose_merges_and_adds_rates():
@@ -261,20 +266,16 @@ def test_superpose_coincident_times_coalesced():
     # coincident burst times are an fp artifact; the merge sums their
     # sizes (the counting function is unchanged) so times stay strictly
     # increasing, deterministically
-    first = bp.SamplePath(
-        params=P_HALF, horizon=1.0, times=np.array([0.25, 0.5]), sizes=np.array([1, 1])
-    )
-    second = bp.SamplePath(
-        params=bp.validate(2.0, 1.0, 0.5),
-        horizon=1.0,
-        times=np.array([0.5, 0.75]),
-        sizes=np.array([2, 2]),
+    first = _one_path(np.array([0.25, 0.5]), np.array([1, 1]))
+    second = _one_path(
+        np.array([0.5, 0.75]), np.array([2, 2]), params=bp.validate(2.0, 1.0, 0.5)
     )
     merged = bp.superpose([first, second])
+    assert isinstance(merged, bp.PathEnsemble) and len(merged) == 1
     assert list(merged.times) == [0.25, 0.5, 0.75]
     assert list(merged.sizes) == [1, 3, 2]
     assert bp.count_at(merged, 0.5) == 4
-    assert merged.total == first.total + second.total
+    assert bp.count_at(merged, 1.0) == bp.count_at(first, 1.0) + bp.count_at(second, 1.0)
 
 
 def test_superpose_rejects_mismatches():
@@ -373,7 +374,7 @@ def test_ensemble_views_satisfy_path_invariants(lam, m):
     assert len(paths) == 2000 and sum(1 for _ in paths) == 2000
     seen = 0
     for view in paths:
-        assert isinstance(view, bp.SamplePath)
+        assert isinstance(view, bp.PathEnsemble) and len(view) == 1
         assert (np.diff(view.times) > 0).all()
         if len(view.times):
             assert 0.0 < view.times[0] and view.times[-1] <= 2.0
@@ -409,8 +410,10 @@ def test_ensemble_same_seed_same_arrays():
 
 def test_simulate_path_is_the_one_path_ensemble():
     path = bp.simulate_path(P_HALF, 5.0, bp.RngStream(157))
-    (view,) = bp.simulate_paths(P_HALF, 5.0, 1, bp.RngStream(157))
-    assert (path.times == view.times).all() and (path.sizes == view.sizes).all()
+    ensemble = bp.simulate_paths(P_HALF, 5.0, 1, bp.RngStream(157))
+    assert isinstance(path, bp.PathEnsemble) and len(path) == 1
+    for name in ("offsets", "times", "sizes"):
+        assert np.array_equal(getattr(path, name), getattr(ensemble, name))
 
 
 def test_ensemble_rejects_bad_columns():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bellproc import special
 from bellproc import (
     ConvergenceError,
+    LogStirlingTable,
     ParameterError,
     RangeError,
     StirlingTable,
@@ -163,6 +164,23 @@ def test_table_size_comes_from_its_entries():
         table.value(7, 2)
 
 
+def test_triangles_freeze_and_check_what_they_are_given():
+    entries = np.eye(3)
+    table, log_table = StirlingTable(0.5, entries), LogStirlingTable(0.5, entries)
+    entries[0, 0] = -3.0
+    for held in (table.entries, log_table.log_entries):
+        assert not held.flags.writeable and held[0, 0] == 1.0
+    for bad in (np.ones((3, 2)), np.ones(3), np.ones((2, 2, 2))):
+        for cls in (StirlingTable, LogStirlingTable):
+            with pytest.raises(ParameterError):
+                cls(0.5, bad)
+    # what the builders made read-only is kept, not copied
+    built = build_stirling_table(0.5, 5)
+    assert StirlingTable(0.5, built.entries).entries is built.entries
+    logs = build_log_stirling_table(0.5, 5)
+    assert LogStirlingTable(0.5, logs.log_entries).log_entries is logs.log_entries
+
+
 def test_table_first_column_half():
     # expanding x(x - lam) over the falling-factorial basis
     table = build_stirling_table(0.5, 2)
@@ -244,6 +262,13 @@ def test_table_cap():
         build_stirling_table(0.5, 201)
     with pytest.raises(ParameterError):
         build_stirling_table(0.5, -1)
+
+
+def test_table_refuses_rows_past_the_double_range():
+    # lam = 0.7 overflows from row 187 on; the rows before it all fit
+    with pytest.raises(RangeError, match="row 187"):
+        build_stirling_table(0.7, 200)
+    assert np.isfinite(build_stirling_table(0.7, 186).entries).all()
 
 
 # ----------------------------------------------------------------------
