@@ -242,7 +242,8 @@ def bell_poly(n: int, x: float, table: StirlingTable) -> float:
     """Degenerate Bell polynomial: sum_k S(n, k) * x**k from the table.
 
     Compensated summation (math.fsum); the coefficients alternate in
-    sign for some lam, so naive accumulation can lose digits.
+    sign for some lam, so naive accumulation can lose digits.  RangeError
+    where a term or the sum passes the double range.
     """
     if _non_negative_int(n, "n") > table.max_n:
         raise ParameterError(f"n={n} outside table range 0..{table.max_n}")
@@ -251,7 +252,11 @@ def bell_poly(n: int, x: float, table: StirlingTable) -> float:
     if n == 0:
         return 1.0
     row = table.entries[n]
-    return math.fsum(row[k] * x**k for k in range(n + 1))
+    try:
+        with np.errstate(over="raise"):
+            return math.fsum(row[k] * x**k for k in range(n + 1))
+    except (OverflowError, FloatingPointError):
+        raise RangeError(f"bell_poly({n}, {x}) lies past the double range") from None
 
 
 def bell_number(n: int, table: StirlingTable) -> float:

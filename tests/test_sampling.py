@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import bellproc as bp
+from bellproc.sampling import _invert
 from bellproc.verify import chisq_pvalue_two_sample, chisq_pvalue_vs_table
 
 
@@ -75,6 +76,15 @@ def test_poisson_zero_mean():
 def test_poisson_negative_mean_rejected():
     with pytest.raises(bp.ParameterError):
         bp.sample_poisson(-1.0, bp.RngStream(5))
+    with pytest.raises(bp.ParameterError) as nan_mean:
+        bp.sample_poisson(math.nan, bp.RngStream(5))
+    assert not isinstance(nan_mean.value, bp.RangeError)
+    # numpy's Generator.poisson takes means up to about 9.2e18
+    limit = 9.223372006484771e18
+    for mean in (math.inf, 1e30, np.nextafter(limit, math.inf)):
+        with pytest.raises(bp.RangeError):
+            bp.sample_poisson(mean, bp.RngStream(5), 3)
+    assert bp.sample_poisson(limit, bp.RngStream(5)) > 0
 
 
 def test_poisson_empirical_mean():
@@ -110,6 +120,91 @@ def test_jump_support_bounded(lam, m):
     draws = bp.sample_jump(law, bp.RngStream(17), 50_000)
     assert draws.min() >= 1
     assert draws.max() <= m
+
+
+def test_jump_fold_to_support_bound():
+    # uniforms past the last cumulative entry give the largest jump
+    law = bp.JumpLaw(burst_rate=1.0, jump_probs=np.array([0.25, 0.25]))
+    u = bp.RngStream(3).random(50_000)
+    expected = np.minimum(np.searchsorted(law.cumulative, u, side="right"), 1) + 1
+    assert (bp.sample_jump(law, bp.RngStream(3), 50_000) == expected).all()
+    assert set(np.unique(expected)) == {1, 2}
+
+
+# ----------------------------------------------------------------------
+# indexed search shared by the table and jump inversions
+
+SEARCH_LAWS = [
+    (2.0, 1.0, 0.25),  # the four laws of the benchmark's draws workload
+    (1.0, 1.0, 0.5),
+    (0.5, 2.0, 1 / 16),
+    (1.5, 1.0, 1.0),
+    (42.795017938700305, 2.0, 0.4996),  # near the radius: 53,112 masses
+    (1.0, 1.0, 1.0),  # m = 1
+    (1.0, 1.0, 0.001),  # m = 1000: most jump cumulative entries are 1.0
+]
+
+
+def _adversarial_uniforms(cum: np.ndarray, bins: int) -> np.ndarray:
+    """Uniforms in [0, 1) on and next to every cumulative entry and bin
+    edge, at both ends of the range, past the last entry, and at random."""
+    edges = np.arange(bins + 1) / bins
+    past = cum[-1] + (1.0 - cum[-1]) * np.array([0.0, 0.5])
+    u = np.concatenate(
+        [
+            cum,
+            np.nextafter(cum, -np.inf),
+            np.nextafter(cum, np.inf),
+            edges,
+            np.nextafter(edges, -np.inf),
+            [0.0, 1.0 - 2.0**-53],
+            past,
+            np.random.default_rng(0).random(200_000),
+        ]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("triple", SEARCH_LAWS)
+def test_indexed_search_is_the_binary_search(triple):
+    params = bp.validate(*triple)
+    sources = [bp.build_pmf_table(params)]
+    if params.validity is bp.Validity.STRICT:
+        sources.append(bp.decompose(params))
+    for source in sources:
+        cum, guide = source.cumulative, source.guide
+        bins = len(guide) - 1
+        assert bins & (bins - 1) == 0 and bins >= 4 * len(cum)
+        u = _adversarial_uniforms(cum, bins)
+        assert (_invert(guide, cum, u) == np.searchsorted(cum, u, side="right")).all()
+
+
+def test_draws_refuse_masses_that_are_not_a_law():
+    params = bp.validate(1.0, 1.0, 0.5)
+    for probs in ([], [math.nan, 0.5], [0.5, math.nan], [-0.5, 1.0], [0.5, -0.25, 0.5], [math.inf]):
+        table = bp.PmfTable(params, np.array(probs, dtype=float), 0.0)
+        law = bp.JumpLaw(burst_rate=1.0, jump_probs=np.array(probs, dtype=float))
+        for draw in (
+            lambda: bp.sample_inverse_cdf(table, bp.RngStream(1), 5),
+            lambda: bp.sample_jump(law, bp.RngStream(1), 5),
+            lambda: bp.sample_compound(law, bp.RngStream(1), 5),
+        ):
+            with pytest.raises(bp.ParameterError):
+                draw()
+
+
+def test_set_up_and_lookups_build_no_guide():
+    params = bp.validate(0.375, 1.25, 1 / 3)  # a law no other test samples
+    table, law = bp.build_pmf_table(params), bp.decompose(params)
+    for k in range(5):
+        bp.pmf(k, params), bp.log_pmf(k, params), bp.cdf(k, params)
+        table.cdf(k), table.quantile(k / 5), law.prob(k)
+    assert "guide" not in table.__dict__ and "guide" not in law.__dict__
+    bp.sample_inverse_cdf(table, bp.RngStream(1), 10)
+    assert "guide" in table.__dict__ and "guide" not in law.__dict__
+    bp.sample_compound(law, bp.RngStream(1), 10)
+    assert "guide" in law.__dict__
+    assert not table.guide.flags.writeable and not law.guide.flags.writeable
 
 
 # ----------------------------------------------------------------------

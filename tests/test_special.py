@@ -331,6 +331,10 @@ def test_bell_poly_out_of_range():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError):
             bell_poly(3, x, table)
+    # finite x whose powers, terms or sum pass the double range
+    for n, x in ((3, 1e200), (3, -1e200), (20, 1e20)):
+        with pytest.raises(RangeError):
+            bell_poly(n, x, build_stirling_table(0.5, 20))
 
 
 @pytest.mark.parametrize("lam", STRICT_LAMS)
