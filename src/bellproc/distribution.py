@@ -19,10 +19,14 @@ accepted only if their certified table has no mass below -1e-12 (lam =
 Both regimes take one route.  With b_j = alpha * c_j * theta**j, the
 pgf exp(alpha*(e_lam(theta*t) - e_lam(theta))) gives the Panjer
 recurrence k * p_k = sum_{j=1..min(k, m)} j * b_j * p_{k-j}, started
-from p_0 = exp(-R) on a moving log scale.  The table stops at the cutoff
-K certified by Cauchy's estimate: for 1 < r < 1/(lam*theta) (any r > 1
-when lam = 1/m) the pgf is analytic on |t| <= r, where its modulus is at
-most M(r) = exp(alpha*(e_lam(theta*r) - e_lam(theta))), so
+from p_0 = exp(-R), with R the sum of the b_j it runs on.  Every mass
+is kept as a mantissa and an integer binary exponent, and rescaled only
+by powers of two, which is exact: the scale adds no error at any rate,
+and a mass keeps its value where it underflows as a double.  The table
+stops at the cutoff K certified by Cauchy's estimate: for 1 < r <
+1/(lam*theta) (any r > 1 when lam = 1/m) the pgf is analytic on |t| <= r,
+where its modulus is at most M(r) = exp(alpha*(e_lam(theta*r) -
+e_lam(theta))), so
 sum_{k>K} |p_k| <= M(r) * r**-(K+1) / (1 - 1/r), signed masses included.
 A non-reciprocal ``lam`` with lam*theta >= 1 leaves no such r and is
 refused.
@@ -64,8 +68,13 @@ RECURRENCE_BUDGET = 4_000_000_000
 _STEP_COST = 10_000
 
 # The recurrence keeps its working values within [1/_SCALE_LIMIT,
-# _SCALE_LIMIT] by moving the log scale.
+# _SCALE_LIMIT] by moving their shared binary exponent.
 _SCALE_LIMIT = 1e150
+
+# ln 2 in two parts (Cody and Waite): _LN2_HI has 32 significant bits,
+# so e * _LN2_HI is exact for every |e| < 2**21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 # Fewest bins of a guide table: with G bins, at most len(cumulative)/G
 # of the uniforms land in a bin that holds a cumulative entry and need a
@@ -210,32 +219,56 @@ def _cutoff(params: DegenParams, target: float) -> int:
     return max(math.ceil(need) - 1, 0)
 
 
-def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, list[int]]:
-    """Log magnitudes log|p_k| for k = 0..n, and the k with p_k < 0.
+def _rate_terms(params: DegenParams, n: int) -> tuple[np.ndarray, int]:
+    """The series of e_lam(theta*t) to at least min(n, m), and the count J
+    of its terms past c_0 that the rate sums: up to m, or up to the first
+    term at most 2**-53 of the sum before it.  Past J the terms shrink
+    (and alternate past the sign change), so they stay within a few units
+    of the sum's last bit, and J does not depend on n."""
+    m = params.reciprocal_order
+    top = max(n, 1)
+    while True:
+        series = _exp_series(params, top)
+        terms = series[1:]
+        below = np.flatnonzero(np.abs(terms) <= 2.0**-53 * np.abs(np.cumsum(terms) - terms))
+        if len(below) or (m is not None and top >= m):
+            return series, int(below[0]) if len(below) else len(terms)
+        top *= 2
 
-    Runs the Panjer recurrence on q_k = p_k * exp(-shift), moving the
-    shift whenever q_k leaves [1/_SCALE_LIMIT, _SCALE_LIMIT].  Each log
-    mass is taken as its q_k is made, so it stays exact where the mass
-    itself underflows.  Stops with ParameterError at the first mass below
-    -NEGATIVE_MASS_TOL.
+
+def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masses p_k = q_k * 2**e_k for k = 0..n: signed mantissas q_k and
+    integer exponents e_k.
+
+    The rate R is the exact sum of the b_j the recurrence runs on (see
+    :func:`_rate_terms`), kept as its rounded value and the rest, so p_0 =
+    exp(-R) matches the weights past R's last bit.  It starts as
+    exp(-R - e*ln 2) * 2**e, with ln 2 split in two parts so that the
+    reduced argument is exact (Cody and Waite, 1980).  The Panjer
+    recurrence then runs on a window of mantissas that share one
+    exponent.  Whenever q_k leaves [1/_SCALE_LIMIT, _SCALE_LIMIT] the
+    window is rescaled by a power of two, which is exact; each q_k and
+    e_k is recorded as it is made, so a mass stays exact where it
+    underflows as a double.  Stops with ParameterError at the first mass
+    below -NEGATIVE_MASS_TOL.
     """
     m = params.reciprocal_order
     width = n if m is None else min(n, m)
     _check_budget(n, width)
+    series, terms = _rate_terms(params, width)
+    b = params.alpha * series[1:]
+    # R in two parts, the rounded and the rest of the exact sum of the b_j.
+    rate = math.fsum(b[:terms])
+    rate_rest = math.fsum([*b[:terms], -rate])
     # weights[width - j] = j * b_j, so each step is one contiguous dot.
-    series = _exp_series(params, width)
-    weights = (params.alpha * np.arange(1, width + 1) * series[1:])[::-1].copy()
+    weights = (np.arange(1, width + 1) * b[:width])[::-1].copy()
     q = np.empty(n + 1)
-    logs = np.empty(n + 1)
-    # With every weight present, R is their sum: the closed form differs
-    # in the last bits, which at R ~ 3000 moves the total mass by 1e-12.
-    if width == m:
-        shift = -params.alpha * math.fsum(series[1:])
-    else:
-        shift = -burst_rate(params.alpha, params.theta, params.lam)
-    q[0], logs[0] = 1.0, shift
-    log_tol = math.log(NEGATIVE_MASS_TOL)
-    negative = []
+    mantissas = np.empty(n + 1)
+    exponents = np.empty(n + 1, dtype=np.int64)
+    exponent = -round(rate / _LN2_HI)
+    reduced = -(rate + exponent * _LN2_HI) - exponent * _LN2_LO - rate_rest
+    q[0] = mantissas[0] = math.exp(reduced)
+    exponents[0] = exponent
     for k in range(1, n + 1):
         lo = max(k - width, 0)
         acc = float(np.dot(weights[width - (k - lo) :], q[lo:k])) / k
@@ -243,48 +276,54 @@ def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, list[int]]:
         size = abs(acc)
         if size > _SCALE_LIMIT or 0.0 < size < 1.0 / _SCALE_LIMIT:
             window = q[max(k - width + 1, 0) : k + 1]
-            scale = max(size, float(np.abs(window).max()) / _SCALE_LIMIT)
-            window /= scale
+            _, shift = math.frexp(max(size, float(np.abs(window).max()) / _SCALE_LIMIT))
+            np.ldexp(window, -shift, out=window)
             # Values this far below the window's largest are negligible;
             # left as subnormals they would only slow every later dot.
             window[np.abs(window) < 1e-300] = 0.0
-            shift += math.log(scale)
-            size = abs(q[k])
-        logs[k] = math.log(size) + shift if size > 0.0 else -math.inf
-        if acc < 0.0:
-            if logs[k] > log_tol:
-                raise ParameterError(
-                    f"parameters (alpha={params.alpha}, theta={params.theta}, "
-                    f"lam={params.lam}) give negative mass {-math.exp(logs[k]):.3e} "
-                    f"at k={k}: not a probability law"
-                )
-            negative.append(k)
-    return logs, negative
+            exponent += shift
+            acc = float(q[k])
+        mantissas[k], exponents[k] = acc, exponent
+        if acc < 0.0 and math.ldexp(-acc, exponent) > NEGATIVE_MASS_TOL:
+            raise ParameterError(
+                f"parameters (alpha={params.alpha}, theta={params.theta}, "
+                f"lam={params.lam}) give negative mass {math.ldexp(acc, exponent):.3e} "
+                f"at k={k}: not a probability law"
+            )
+    return mantissas, exponents
 
 
 # ----------------------------------------------------------------------
 # PMF and friends.
 
 
-def log_pmf(k: int, params: DegenParams) -> float:
-    """Log of the mass at k.
-
-    Finite wherever the mass is positive; -inf where a signed mass of
-    the asymptotic regime is clamped to 0.  Read from the cached table,
-    or from the recurrence run to k where the table's entry underflows
-    or k lies past its end.
-    """
+def _mass(k: int, params: DegenParams) -> tuple[float, int]:
+    """Mantissa and exponent of the mass at k, with a signed mass of the
+    asymptotic regime clamped to 0.  Read from the cached table, or from
+    the recurrence run to k where the table's entry underflows or k lies
+    past its end."""
     k = _non_negative_int(k, "k")
     probs = _pmf_table(params, DEFAULT_TAIL_TOL).probs
     if k < len(probs) and probs[k] >= sys.float_info.min:
-        return math.log(probs[k])
-    logs, negative = _masses(params, k)
-    return -math.inf if k in negative else float(logs[k])
+        return math.frexp(float(probs[k]))
+    mantissas, exponents = _masses(params, k)
+    return max(float(mantissas[k]), 0.0), int(exponents[k])
+
+
+def log_pmf(k: int, params: DegenParams) -> float:
+    """Log of the mass at k, log q + e * ln 2 from its mantissa q and
+    exponent e: finite wherever the mass is positive, also where it
+    underflows as a double; -inf where it is 0."""
+    mantissa, exponent = _mass(k, params)
+    if not mantissa > 0.0:
+        return -math.inf
+    return math.log(mantissa) + exponent * _LN2_LO + exponent * _LN2_HI
 
 
 def pmf(k: int, params: DegenParams) -> float:
-    """Mass at k: exp(-rate) * theta**k / k! * poly_k(alpha)."""
-    return math.exp(log_pmf(k, params))
+    """Mass at k: exp(-rate) * theta**k / k! * poly_k(alpha); within the
+    table, exactly its entry."""
+    return math.ldexp(*_mass(k, params))
 
 
 def _guide_table(cumulative: np.ndarray) -> np.ndarray:
@@ -298,15 +337,20 @@ def _guide_table(cumulative: np.ndarray) -> np.ndarray:
     O(len(cumulative) + G) time (about 1.3 ms for the 53,112 masses of
     (42.795..., 2, 0.4996), whose table takes over 300 ms to build).
     Read-only; see :func:`bellproc.sampling._invert` for its use.
-    ParameterError unless there is at least one mass and every mass is
-    finite and non-negative, as only then is a draw defined.
     """
-    drawable = len(cumulative) and cumulative[0] >= 0.0 and cumulative[-1] < math.inf
-    if not (drawable and (np.diff(cumulative) >= 0.0).all()):  # nan fails every comparison
-        raise ParameterError("cannot draw: need at least one mass, each finite and non-negative")
     bins = 1 << max(_GUIDE_MIN_BINS - 1, 4 * len(cumulative) - 1).bit_length()
     first = np.minimum(np.ceil(cumulative * bins), bins + 1).astype(np.intp)
     return _read_only(np.cumsum(np.bincount(first, minlength=bins + 2)[: bins + 1]))
+
+
+def _law_masses(masses) -> np.ndarray:
+    """``masses`` frozen; ParameterError unless there is at least one and
+    each is finite and non-negative, as only then are lookups and draws
+    defined."""
+    masses = _frozen(masses)
+    if not (len(masses) and ((masses >= 0.0) & (masses < math.inf)).all()):  # nan fails both
+        raise ParameterError("a law needs at least one mass, each finite and non-negative")
+    return masses
 
 
 @dataclass(frozen=True)
@@ -317,6 +361,8 @@ class PmfTable:
     beyond K, certified at construction to be at most the requested
     tolerance.  Immutable: probs, cumulative and guide are read-only
     (probs is copied unless its memory is read-only already).
+    ParameterError unless there is at least one mass and each is finite
+    and non-negative.
     """
 
     params: DegenParams
@@ -324,7 +370,7 @@ class PmfTable:
     tail_mass: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _frozen(self.probs))
+        object.__setattr__(self, "probs", _law_masses(self.probs))
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -392,8 +438,9 @@ def _check_tail_tol(tail_tol: float) -> None:
 def _pmf_table(params: DegenParams, tail_tol: float) -> PmfTable:
     _check_tail_tol(tail_tol)
     certified = tail_tol / 2.0
-    logs, negative = _masses(params, _cutoff(params, certified))
-    probs = np.exp(logs)
+    mantissas, exponents = _masses(params, _cutoff(params, certified))
+    probs = np.ldexp(np.abs(mantissas), exponents)
+    negative = mantissas < 0.0
     clamped = math.fsum(probs[negative])
     if clamped + certified > tail_tol:
         raise ParameterError(
@@ -524,15 +571,15 @@ class JumpLaw:
 
     jump_probs[i] is P(J = i+1); under strict validity with lam = 1/m
     the support is exactly {1, ..., m}.  burst_rate is the intensity of
-    the Poisson process of jump epochs.  Immutable, as :class:`PmfTable`
-    is: jump_probs, cumulative and guide are read-only.
+    the Poisson process of jump epochs.  Immutable and checked, as
+    :class:`PmfTable` is: jump_probs, cumulative and guide are read-only.
     """
 
     burst_rate: float
     jump_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jump_probs", _frozen(self.jump_probs))
+        object.__setattr__(self, "jump_probs", _law_masses(self.jump_probs))
 
     @property
     def support_bound(self) -> int:

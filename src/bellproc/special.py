@@ -267,16 +267,16 @@ def bell_number(n: int, table: StirlingTable) -> float:
 def bell_poly_dobinski(n: int, x: float, lam: float, tol: float = 1e-12) -> float:
     """Degenerate Bell polynomial by its exponentially weighted series.
 
-    Sums exp(-x) * sum_k ff(k, n, lam) * x**k / k! until the remaining
-    tail is certifiably below ``tol``.  Past k >= n every series term is
-    positive and the term ratio
+    Sums ff(k, n, lam) * exp(-x) * x**k / k! until the remaining tail is
+    certifiably below ``tol``.  Each Poisson weight exp(-x) * x**k / k!
+    is formed from its log, so no term overflows however large x is.
+    Past k >= n every series term is positive and the term ratio
 
         r_k = [ff(k+1, n, lam) / ff(k, n, lam)] * x / (k + 1)
 
     is decreasing in k, so once r_k <= 1/2 the tail after term k is at
-    most term_k * r_k / (1 - r_k); we stop when that bound (times the
-    exp(-x) prefactor) drops below tol (ConvergenceError past
-    _DOBINSKI_MAX_TERMS terms).
+    most term_k * r_k / (1 - r_k); we stop when that bound drops below
+    tol (ConvergenceError past _DOBINSKI_MAX_TERMS terms).
 
     Independent of the table route in bell_poly: the two are
     cross-checked by the test suite.
@@ -286,23 +286,22 @@ def bell_poly_dobinski(n: int, x: float, lam: float, tol: float = 1e-12) -> floa
         raise ParameterError(f"series route requires finite x > 0, got {x}")
     if not tol > 0.0:  # also refuses nan
         raise ParameterError(f"tol must be > 0, got {tol}")
-    prefactor = math.exp(-x)
     terms: list[float] = []
     term_prev = None
-    log_xk_over_kfact = 0.0  # log(x**k / k!) accumulated incrementally
+    log_weight = -x  # log(exp(-x) * x**k / k!) accumulated incrementally
     for k in range(_DOBINSKI_MAX_TERMS):
         if k % 64 == 0:  # the falling factorials of the next 64 values of k
             ffs = falling_factorial(np.arange(k, k + 64.0), n, lam).tolist()
         if k > 0:
-            log_xk_over_kfact += math.log(x) - math.log(k)
-        term = ffs[k % 64] * math.exp(log_xk_over_kfact)
+            log_weight += math.log(x) - math.log(k)
+        term = ffs[k % 64] * math.exp(log_weight)
         terms.append(term)
         if k > n and term_prev is not None and term_prev > 0.0:
             ratio = term / term_prev
             if 0.0 <= ratio <= 0.5:
                 tail_bound = term * ratio / (1.0 - ratio)
-                if prefactor * tail_bound <= tol:
-                    return prefactor * math.fsum(terms)
+                if tail_bound <= tol:
+                    return math.fsum(terms)
         term_prev = term
     raise ConvergenceError(
         f"series for n={n}, x={x}, lam={lam} did not certify tol={tol} "

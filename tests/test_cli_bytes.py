@@ -11,9 +11,19 @@ the numpy version stored with them; on another version the test is
 skipped.  A change that alters seeded output on purpose replaces the
 table with the observed one, which the failure message prints in the
 same layout, and names each changed argv in its change notes.
+
+The table argvs are also run in a child whose numpy has its AVX-512
+code paths switched off, as on a CPU without them: the masses are
+formed by exact binary scaling, not by numpy's SIMD ``exp``, so those
+digests hold there too.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,10 +64,10 @@ ARGVS = [
 
 # " ".join(argv) -> (exit code, SHA-256 of stdout, stderr line of a refusal)
 DIGESTS = {
-    'table --alpha 1 --theta 1 --lambda 1 --format csv': (0, 'e0b3ec0772f77b26b4f52703f67c7575af0e1528268266fc93489e1e7cef6d0b', None),
-    'table --alpha 1 --theta 1 --lambda 1 --format json': (0, '34f0c521acce5a52d897abb213099d943c0731abd157e0333f22c0dba2369f6c', None),
-    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format csv': (0, '5f7f74d79d809b00470647d13e8e48fe7220e4384955e90806123278c36a4ef1', None),
-    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format json': (0, 'de0932e310a1c237a33ddcde8b89b08d58fc44451c8c48721b3b1301bd40af33', None),
+    'table --alpha 1 --theta 1 --lambda 1 --format csv': (0, 'b46f9cfa8c234064ddb2db5b69f4b224bd9e3398855fb5789640937577480a5c', None),
+    'table --alpha 1 --theta 1 --lambda 1 --format json': (0, '6ae71bc7f60d2711f51b8d237835d1530067ca11a30a596dcc3bb00d3fbf7d4a', None),
+    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format csv': (0, '74b1c475f6b4c04d25fe2e9e55da8ba772a80fb1a110a6429ec6c20c54c7cfc8', None),
+    'table --alpha 1 --theta 1 --lambda 1 --t 2.5 --tail-tol 1e-10 --format json': (0, '3011279b374c16dc69cc61d98b4b48da6f1bb68f133e055968be37ba03a343c4', None),
     'moments --alpha 1 --theta 1 --lambda 1 --format csv': (0, '6985574759f6d6eb19faa2648091ca153c1a767a280b58f83f6f71ebb4d555b9', None),
     'moments --alpha 1 --theta 1 --lambda 1 --format json': (0, 'e5afdb6649f59441bcd7a4e9236c2a00785d0522ca9a6d4e29f2d101f22c21d1', None),
     'sample --alpha 1 --theta 1 --lambda 1 --n 1000 --seed 7 --format csv': (0, 'ce9292913b23dc9141c4e5b41d9011379c5c1ff91316f7e41072d44e2ed8eb70', None),
@@ -70,10 +80,10 @@ DIGESTS = {
     'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '83ddd561de6e1df7e3c5d9fa653efd8dc594366615944072f18ccd625dbd73e2', None),
     'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'd165d6df1e1d85f72aa37e82d21eba1151bef16f8f1a4ee42858dafcbe29f5d4', None),
     'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, 'd1e33e484824ca182b63c9801514edbb65be613314e30df273b17b3b37819f86', None),
-    'table --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, '1a60af397652ad6d549fe017198c589136e1f32669339a207021192c3d6c45de', None),
-    'table --alpha 1 --theta 1 --lambda 0.5 --format json': (0, 'c2d8376bb4ba6d3145f46ec4fb9785842bedb7d88ce477a069e3cd32c38c30ff', None),
-    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format csv': (0, '464805092935a8a5837f25a688f83fec0297039aabf1f18dfc8c5d7d7e96efb8', None),
-    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format json': (0, 'ee6254c4ec52f185d95c3e1fa09ad69511c0f021c43372fdfa69fe05cd2d6b55', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, 'bbea62bd695b6a6a3c69bf6ae3c6665645dfd6c72d67f81420635c5c51c148c2', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --format json': (0, 'e4697bd63a8ecd4633dfdaa0225e28965bccb18f36119eb8f56b46b431235569', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'e0dda3546fbafbf956cc75dfa146b0d3cca378e28d217885d3d246f65355ce96', None),
+    'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format json': (0, '5df6dabe383151d05b78515ffade4c6e80350e40a83146434e418fa3080c7753', None),
     'moments --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, 'e7244fd1f6ff0a582240fe9430f1e5665e7770cfd1499a4fbb4878281f1ca55d', None),
     'moments --alpha 1 --theta 1 --lambda 0.5 --format json': (0, '1904f72e9efc3e4fa1478d6c40e1875102f0b2f2d23f0d953c30d244edb9640a', None),
     'sample --alpha 1 --theta 1 --lambda 0.5 --n 1000 --seed 7 --format csv': (0, '630f95e94fd591037370f7050f5c85201a4e2ff8a530edbe5f06233a4e5e611e', None),
@@ -86,10 +96,10 @@ DIGESTS = {
     'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '5f42674da45a9c3808afe1c2571110106898a5290cf8560e83094c03e5710840', None),
     'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '8541ac9a1217e36a700fd321fa2f5f08d8b233b83842c31a0a474c057487da83', None),
     'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '7af60263a603fda84534eaf327e81d490ac823d8aa65cbb74ee94b244656eec2', None),
-    'table --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, '13a2620abeba4279bddede6fadf332803639c27b69a4ce8279bfe6d34baaa174', None),
-    'table --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, '8cb03b59e08d9dbad32288f1bc822866ec964f377c7e8c27837fdc2a4e2c745e', None),
-    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format csv': (0, '2d07b0cd4302df9fc592c1846ff6851a10d02f405f41c76de650cc614a750d06', None),
-    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format json': (0, '1b1b8caee2278d91db6d4bbd9aa1efa9e33ec8f0d99be8ee8530d6ce04bac454', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, '594a6a6f187ea49c35931ac2a802981c6cd0f713c7703502b159530078f5b865', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, '5b347f11014ef276b433a7a2c0b345cdcc8e72b438a463d82ad9c8f6d29f00e8', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format csv': (0, '22e3e9ac000d940f4ba9fcc713f309aaac44e65b0273151fb76fdc6987e99ded', None),
+    'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format json': (0, '56b67512d0018d1b7e803d760ccbb70c2497690af33a1142babc15b271947c6f', None),
     'moments --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, 'abf5b7eb281e4698aa740281c360f9a2abc94cf6b2ea0e9a958e6e3c9c223e7c', None),
     'moments --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, 'b65ed230630181290aae666c45af2c6fa42283e40cef6ed76db05e75851dbde7', None),
     'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1000 --seed 7 --format csv': (0, '007bee5fcee023b072f0377b844d116d4e716b0db5d6f7d1ce623b3710cc6e2f', None),
@@ -102,10 +112,10 @@ DIGESTS = {
     'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'e8efa591e71397056ecc6f5c4c3613d866afe16b1a80dbd4e5baa5764822b400', None),
     'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '2ce1f434b993613374c889f032054052875e59b11649106360ab64271e76af3c', None),
     'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '1959d9e5bff04ef2e7e8f0f7c1b6f8d464f8e63e11701a24437e0f123c532e16', None),
-    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '7fcc94b18c66974566012786a68a3952a39bafca28fc07dd1fbbb5167d982406', None),
-    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, 'ebd2fbad288f7e4edd9d9ef8c05f9f42e75bf9c7c1829f7b24f38b5a39530a93', None),
-    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'afd9e7359f43d1f3bbf71b277893161380f557bd95ccb6daca603c76726879eb', None),
-    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format json': (0, '26b12edd0ae957a4617ee0782ad1fbe50f8e5b9c3f8e2857d7541a0d2deec157', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '264a89babd6ea16bb4ce0b4612978ed47b32a056fd747d6fca82a258116c0fb5', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, 'e17ecabea524b226561b36f7ae063486e9517cf955cca599a77032669e34e025', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'edab6114fb07853e8d72ef77f371a0ab4c43db63a3b38f21bc0091ec7884262e', None),
+    'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format json': (0, 'c3f0f90666d98f65419b74e3348a4821ce2f4c7c8f98fe3b7a368fd552fa8811', None),
     'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '1ea26b928ec2dff076358904b6dbc52d0f9f1b939a864109fa828f3ea621c5c9', None),
     'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, '1694ff0d386aa018aca5ee0d9879c629fba67911e4aa7357840d17e93794357d', None),
     'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1000 --seed 7 --format csv': (0, 'a0f7d9dbe09f5c99122b863465ec66aa4b6bafa6ce7118c324b72160a663f65e', None),
@@ -118,10 +128,10 @@ DIGESTS = {
     'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
-    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '84fa58b37d776d19c9a5896064734f0d70ada3758f6f97028d5ea688bd051d81', None),
-    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, 'c254b8dd7e9efdd6ef931dd4f5fb41fb9ea1943a4900ab8befab5297be816313', None),
-    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format csv': (0, '131f2e2ce165b075721d020ba3f70568defc2d6ce88d6ef5d975bd7fdeb248c0', None),
-    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format json': (0, '761d9e6f80711f0a2c0d970d2cd9b45680c180d7336f0d496e808ca6d9d08240', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, 'dede3705283130eaf642674f012b6e6a1d69ddca991fc4021d51e65eb7790f13', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '71cd9c6d4a70afacc3f7b7a5928bdd62335e318bbde2ec5de8b31355248b0e2e', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format csv': (0, '79ace5cab03c50a4a38260a9c8c165d08caca785def4bd94cb879f4538850ce1', None),
+    'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format json': (0, '90621d7bf1cd2b3f24b127133fa8bb7ee662e5613cc037a5d85b7e50d3de2b30', None),
     'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '87e0eb216ea80357a6033e1d9538a1f3d3f8788dfde50224b9ad16b993f939f4', None),
     'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '2a76b2d2ed7b9970a903bbc98c454afae700b1c64c1419a8235c40a46ed953e6', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format csv': (0, '705e6271ea5dbae3f3c4edc9e46c97e120da7b40b4ecbd721dfe11a2a5b609f1', None),
@@ -134,10 +144,10 @@ DIGESTS = {
     'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'f3b5f3af8a2e605356cc11a98857514ea72c5c425c3d70c5318c943f95ec3d7a', None),
     'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '1af0810e68c8b991c3d1b1a9b6f0fad4ad159344fc322d3c442268e2df9b15ad', None),
     'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '0648773b50cce3e924471b59cd8573d8c1509b8a1859d33611c80e89b96fd20f', None),
-    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '6487b74a8b4e897a812913a3055dfff486a952bea53a1defe4fe0e52741ca295', None),
-    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, '4a4833ef6024c08fb599ad79f26aeb4d67d8360721624b83e970d3769ebfafd6', None),
-    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format csv': (0, '3ec95a5270c5bef5e2824f468a89b92aa9decf13949908b3885635f6a3e64ad5', None),
-    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format json': (0, '4edf51b7a03d8d41b43ca0613211dd6f1c6b7e237a74463d9efba21fa27b9378', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '0afe37a0e55cdaf0664c7623a5bd6ec3dec17076ca6489c759b70a02a20967bc', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, 'cdb1f229d6a3ad456548688ec576ce32b9efcd9a34b3dbad397b44e496b1b117', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format csv': (0, '5a0b5cc7975bcb8e6ec714d00b15908c8e16b79f0c0ac45f642701af0c6ca93a', None),
+    'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format json': (0, 'ee46ace07630a772bdc331ec67a59899e3fbed87a8437d8ee4a9a7f47b3d3c30', None),
     'moments --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '8a760927afb50381cf8bd1b68898f1b8f908a03751e82e073d77abd1ad45d3ca', None),
     'moments --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, 'ea71eab22d2b1019539c8a4b42ece4811880fad77d63081ad043f373de6ec6a9', None),
     'sample --alpha 0.7 --theta 0.3 --lambda 0.6 --n 1000 --seed 7 --format csv': (0, 'e96e5de19559e87864997c520cc6b51f9a8148b734ac21f0f5bad1d288d55e75', None),
@@ -150,8 +160,8 @@ DIGESTS = {
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
-    'verify --seed 12345 --format csv': (0, 'bd6cc60095f877dc8df7cd148cdb9bc8f1bbcae37b375684bb7ed242a047ec3f', None),
-    'verify --seed 12345 --format json': (0, 'b2b0d2c4c215d70480b99c0d6d735dab816729c8fd8fabbce1cf5ee56b985d16', None),
+    'verify --seed 12345 --format csv': (0, '980ddd9d21bc1d455f256c0d34aaac522f4ad66b3369e8814336974f80861bb1', None),
+    'verify --seed 12345 --format json': (0, '4d05aafea60d1cd78962e8f6089efd7c53bf3c865b1f37bbccf58522f2b9deca', None),
 }
 
 
@@ -177,3 +187,40 @@ def _layout(table):
 def test_cli_output_matches_committed_digests(capsys):
     observed = {" ".join(argv): _observe(argv, capsys) for argv in ARGVS}
     assert observed == DIGESTS, "observed table:\n" + _layout(observed)
+
+
+# Switches numpy's own SIMD dispatch to the AVX2 paths.
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+_CHILD = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from bellproc.cli import main
+digests = {}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests[" ".join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), None]
+print(json.dumps({"numpy": np.__version__, "digests": digests}))
+"""
+
+
+def test_table_digests_hold_without_avx512():
+    argvs = [argv for argv in ARGVS if argv[0] == "table" and argv[-1] == "csv"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    if child.returncode != 0:
+        reason = (child.stderr.strip().splitlines() or ["no message"])[-1]
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: {reason}")
+    report = json.loads(child.stdout)
+    if report["numpy"] != NUMPY_VERSION:
+        pytest.skip(f"the child's numpy is {report['numpy']}, not {NUMPY_VERSION}")
+    observed = {key: tuple(row) for key, row in report["digests"].items()}
+    assert len(observed) == 12
+    assert observed == {key: DIGESTS[key] for key in observed}

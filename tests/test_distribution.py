@@ -545,6 +545,105 @@ def test_large_rate_strict_table_normalizes():
     assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
 
 
+def _mp_poisson(mean, lo, hi):
+    # 40-digit Poisson(mean) masses at lo..hi: one closed form, then ratios
+    from mpmath import mp, mpf
+
+    with mp.workdps(40):
+        mean = mpf(mean)
+        out = [mp.exp(-mean + lo * mp.log(mean) - mp.loggamma(lo + 1))]
+        for i in range(lo + 1, hi + 1):
+            out.append(out[-1] * mean / i)
+    return out
+
+
+def _bulk(mean, variance):
+    # 25 points across mean +- 6 standard deviations
+    return [int(mean + z * math.sqrt(variance)) for z in np.linspace(-6.0, 6.0, 25)]
+
+
+def _mp_half_order(alpha, k):
+    # lam = 1/2, theta = 1: X = A + 2B with A ~ Poisson(alpha) and
+    # B ~ Poisson(alpha/4) independent, so P(X = k) sums P(B = j) P(A = k - 2j).
+    # The sum runs over the j within 10 standard deviations of the largest
+    # term, which sits where (k - 2j)**2 = 4*alpha*j, at 40 digits.
+    from mpmath import mp
+
+    top = ((k + alpha) - math.sqrt(alpha * alpha + 2.0 * k * alpha)) / 2.0
+    spread = int(10.0 * math.sqrt(top + 1.0)) + 10
+    jlo, jhi = max(int(top) - spread, 0), min(int(top) + spread, k // 2)
+    p_b, p_a = _mp_poisson(alpha / 4.0, jlo, jhi), _mp_poisson(alpha, k - 2 * jhi, k - 2 * jlo)
+    with mp.workdps(40):
+        return mp.fsum(p_b[j - jlo] * p_a[k - 2 * j - (k - 2 * jhi)] for j in range(jlo, jhi + 1))
+
+
+@pytest.mark.parametrize("alpha", [1e4, 3e4])
+def test_large_rate_poisson_bulk_against_oracle(alpha):
+    # lam = 1 is Poisson(alpha): each bulk mass holds to 1e-13 at rates
+    # where the masses start from exp(-alpha), far below the double range
+    table = bp.build_pmf_table(bp.validate(alpha, 1.0, 1.0))
+    for k in _bulk(alpha, alpha):
+        (ref,) = _mp_poisson(alpha, k, k)
+        assert abs(float(table.probs[k] / ref) - 1.0) <= 1e-13
+
+
+def test_large_rate_half_order_bulk_against_oracle():
+    alpha = 1e4
+    table = bp.build_pmf_table(bp.validate(alpha, 1.0, 0.5))
+    for k in _bulk(1.5 * alpha, 2.0 * alpha):
+        assert abs(float(table.probs[k] / _mp_half_order(alpha, k)) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("triple", [(3e3, 1.0, 0.3), (1e4, 1.0, 1.0), (3e4, 1.0, 0.5)])
+def test_large_rate_laws_pass_the_residual_gate(triple):
+    # rates 4,193, 1e4 and 37,500: each build's residual is checked
+    # against the unchanged 1e-12 tolerance
+    table = bp.build_pmf_table(bp.validate(*triple))
+    assert 0.0 <= table.tail_mass <= 1e-12
+    assert abs(math.fsum(table.probs) + table.tail_mass - 1.0) <= 1e-12
+
+
+def test_large_rate_log_pmf_past_the_table_and_where_it_underflows(monkeypatch):
+    # lam = 1/2 at alpha = 1e3: p_0 = exp(-1250) underflows in the table,
+    # and k = 3000 lies past its end
+    alpha = 1e3
+    params = bp.validate(alpha, 1.0, 0.5)
+    table = bp.build_pmf_table(params)
+    assert table.probs[0] == 0.0 and table.support_max < 3000
+    calls = []
+    recurrence = dist._masses
+    monkeypatch.setattr(dist, "_masses", lambda p, n: calls.append(n) or recurrence(p, n))
+    from mpmath import mp
+
+    for k in (0, 5, 3000):
+        ref = float(mp.log(_mp_half_order(alpha, k)))
+        assert bp.log_pmf(k, params) == pytest.approx(ref, rel=1e-13)
+    # an underflowed entry reruns the recurrence to k only
+    assert calls == [0, 5, 3000]
+    assert bp.log_pmf(0, params) == -1250.0
+    # lam = 1 at alpha = 1e4: k = 0 and 5 underflow, the last k is past the end
+    params = bp.validate(1e4, 1.0, 1.0)
+    for k in (0, 5, bp.build_pmf_table(params).support_max + 1000):
+        (ref,) = _mp_poisson(1e4, k, k)
+        assert bp.log_pmf(k, params) == pytest.approx(float(mp.log(ref)), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(1.0, 1.0, 1.0), (2.0, 0.5, 0.25), (0.7, 0.3, 0.6),
+     (16.915395812433825, 2.0, 0.005263157894736842), (1e3, 1.0, 0.5), (1e4, 1.0, 1.0)],
+)
+def test_pmf_is_the_table_entry_bit_for_bit(triple):
+    # pmf and log_pmf read one (mantissa, exponent) pair, with no
+    # exp(log(p)) round trip
+    params = bp.validate(*triple)
+    probs = bp.build_pmf_table(params).probs
+    normal = [k for k in range(len(probs)) if probs[k] >= 2.2250738585072014e-308]
+    assert [bp.pmf(k, params) for k in normal] == [float(probs[k]) for k in normal]
+    for k in normal[:: max(len(normal) // 50, 1)]:
+        assert bp.log_pmf(k, params) == pytest.approx(math.log(probs[k]), rel=1e-15, abs=1e-15)
+
+
 def test_order_one_over_200_past_factorial_overflow():
     # theta**k / k! overflows past k = 170; the oracle assembles it exactly
     params = bp.validate(50.0, 2.0, 1.0 / 200)
