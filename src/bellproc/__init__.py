@@ -16,7 +16,6 @@ from .distribution import (
     PmfTable,
     Validity,
     build_pmf_table,
-    burst_rate,
     cdf,
     convolve,
     decompose,
@@ -92,7 +91,6 @@ __all__ = [
     "build_log_stirling_table",
     "build_pmf_table",
     "build_stirling_table",
-    "burst_rate",
     "cdf",
     "convolve",
     "count_at",

@@ -184,7 +184,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         "mean": dist.mean(params),
         "variance": dist.variance(params),
         "dispersion_ratio": 1.0 + dist._excess_dispersion(params),
-        "burst_rate": dist.burst_rate(params.alpha, params.theta, params.lam),
+        "burst_rate": dist._rate_record(params)[1],
         "validity": params.validity.value,
     }
     jump_probs: list[float] = []

@@ -19,10 +19,12 @@ accepted only if their certified table has no mass below -1e-12 (lam =
 Both regimes take one route.  With b_j = alpha * c_j * theta**j, the
 pgf exp(alpha*(e_lam(theta*t) - e_lam(theta))) gives the Panjer
 recurrence k * p_k = sum_{j=1..min(k, m)} j * b_j * p_{k-j}, started
-from p_0 = exp(-R), with R the sum of the b_j it runs on.  Every mass
-is kept as a mantissa and an integer binary exponent, and rescaled only
-by powers of two, which is exact: the scale adds no error at any rate,
-and a mass keeps its value where it underflows as a double.  The table
+from p_0 = exp(-R), with R the sum of the b_j it runs on.  That sum is
+the law's one burst rate, found once: the compound decomposition and
+the CLI's ``moments`` read the same float.  Every mass is kept as a
+mantissa and an integer binary exponent, and rescaled only by powers of
+two, which is exact: the scale adds no error at any rate, and a mass
+keeps its value where it underflows as a double.  The table
 stops at the cutoff K certified by Cauchy's estimate: for 1 < r <
 1/(lam*theta) (any r > 1 when lam = 1/m) the pgf is analytic on |t| <= r,
 where its modulus is at most M(r) = exp(alpha*(e_lam(theta*r) -
@@ -31,8 +33,9 @@ sum_{k>K} |p_k| <= M(r) * r**-(K+1) / (1 - 1/r), signed masses included.
 A non-reciprocal ``lam`` with lam*theta >= 1 leaves no such r and is
 refused.
 
-Tables (``build_pmf_table``) and jump laws (``decompose``) are built once
-per law, memoized for the 128 most recent, and shared read-only.
+The rate (``_rate_record``), tables (``build_pmf_table``) and jump laws
+(``decompose``) are built once per law, memoized for the 128 most
+recent, and shared read-only.
 """
 
 from __future__ import annotations
@@ -118,15 +121,6 @@ def _log_e(lam: float, x: float) -> float:
     """log e_lam(x) = log1p(lam*x) / lam; x itself where lam*x underflows."""
     y = lam * x
     return math.log1p(y) / lam if abs(y) > 1e-300 else x
-
-
-def burst_rate(alpha: float, theta: float, lam: float) -> float:
-    """Rate alpha * (e_lam(theta) - 1) of the underlying burst process;
-    inf where it overflows."""
-    try:
-        return alpha * math.expm1(_log_e(lam, theta))
-    except OverflowError:
-        return math.inf
 
 
 def validate(alpha: float, theta: float, lam: float) -> DegenParams:
@@ -219,21 +213,43 @@ def _cutoff(params: DegenParams, target: float) -> int:
     return max(math.ceil(need) - 1, 0)
 
 
-def _rate_terms(params: DegenParams, n: int) -> tuple[np.ndarray, int]:
-    """The series of e_lam(theta*t) to at least min(n, m), and the count J
-    of its terms past c_0 that the rate sums: up to m, or up to the first
-    term at most 2**-53 of the sum before it.  Past J the terms shrink
-    (and alternate past the sign change), so they stay within a few units
-    of the sum's last bit, and J does not depend on n."""
+@lru_cache(maxsize=128)
+def _rate_record(params: DegenParams) -> tuple[np.ndarray, float, float]:
+    """The law's one burst rate R, in two parts, and the series c_j *
+    theta**j it is summed from; the table's p_0, the jump law and
+    ``moments`` all read this record.
+
+    R is the exact sum of the b_j = alpha * c_j * theta**j for j = 1..J,
+    with J = m or the count of terms before the first one at most 2**-53
+    of the sum before it.  Past J the terms shrink (and alternate past
+    the sign change), so they stay within a few units of R's last bit.
+    A strict series is taken whole where the budget allows; any other is
+    doubled until it holds J terms or overflows.  ``cumprod`` and
+    ``cumsum`` run in order, so J and the b_j do not depend on its
+    length.  ParameterError where e_lam(theta) or R is past the largest
+    double.
+    """
     m = params.reciprocal_order
-    top = max(n, 1)
-    while True:
-        series = _exp_series(params, top)
-        terms = series[1:]
-        below = np.flatnonzero(np.abs(terms) <= 2.0**-53 * np.abs(np.cumsum(terms) - terms))
-        if len(below) or (m is not None and top >= m):
-            return series, int(below[0]) if len(below) else len(terms)
-        top *= 2
+    top = m if m is not None and m * _STEP_COST <= RECURRENCE_BUDGET else 64
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        while True:
+            series = _exp_series(params, top)
+            terms, sums = series[1:], np.cumsum(series[1:])
+            below = np.flatnonzero(np.abs(terms) <= 2.0**-53 * np.abs(sums - terms))
+            if len(below) or len(terms) == m or not math.isfinite(sums[-1]):
+                break
+            top *= 2
+        b = params.alpha * terms[: below[0] if len(below) else None]
+    try:
+        rate = math.fsum(b)
+        rate_rest = math.fsum([*b, -rate])
+    except (OverflowError, ValueError):  # an infinite b_j, or a sum past the largest double
+        rate = math.inf
+    if not (math.isfinite(sums[-1]) and math.isfinite(rate)):
+        raise ParameterError(
+            f"burst rate of {params} overflows: e_lam(theta) or the rate is past the largest double"
+        )
+    return _read_only(series), rate, rate_rest
 
 
 def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +257,7 @@ def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     integer exponents e_k.
 
     The rate R is the exact sum of the b_j the recurrence runs on (see
-    :func:`_rate_terms`), kept as its rounded value and the rest, so p_0 =
+    :func:`_rate_record`), kept as its rounded value and the rest, so p_0 =
     exp(-R) matches the weights past R's last bit.  It starts as
     exp(-R - e*ln 2) * 2**e, with ln 2 split in two parts so that the
     reduced argument is exact (Cody and Waite, 1980).  The Panjer
@@ -255,13 +271,10 @@ def _masses(params: DegenParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     m = params.reciprocal_order
     width = n if m is None else min(n, m)
     _check_budget(n, width)
-    series, terms = _rate_terms(params, width)
-    b = params.alpha * series[1:]
-    # R in two parts, the rounded and the rest of the exact sum of the b_j.
-    rate = math.fsum(b[:terms])
-    rate_rest = math.fsum([*b[:terms], -rate])
+    _, rate, rate_rest = _rate_record(params)
+    b = params.alpha * _exp_series(params, width)[1:]
     # weights[width - j] = j * b_j, so each step is one contiguous dot.
-    weights = (np.arange(1, width + 1) * b[:width])[::-1].copy()
+    weights = (np.arange(1, width + 1) * b)[::-1].copy()
     q = np.empty(n + 1)
     mantissas = np.empty(n + 1)
     exponents = np.empty(n + 1, dtype=np.int64)
@@ -571,8 +584,10 @@ class JumpLaw:
 
     jump_probs[i] is P(J = i+1); under strict validity with lam = 1/m
     the support is exactly {1, ..., m}.  burst_rate is the intensity of
-    the Poisson process of jump epochs.  Immutable and checked, as
-    :class:`PmfTable` is: jump_probs, cumulative and guide are read-only.
+    the Poisson process of jump epochs; from :func:`decompose` it is the
+    summed rate R that the law's table starts from, p_0 = exp(-R).
+    Immutable and checked, as :class:`PmfTable` is: jump_probs,
+    cumulative and guide are read-only.
     """
 
     burst_rate: float
@@ -618,18 +633,19 @@ def decompose(params: DegenParams) -> JumpLaw:
     Writing the PGF as exp(R*(H(t) - 1)) with R the burst rate forces H
     to be the normalized zero-truncated series of the degenerate
     exponential, i.e. jump weights proportional to c_k * theta**k, the
-    coefficients the mass recurrence runs on.  Requires strict validity:
-    for other lam some weight is negative and no such decomposition
-    exists.  Memoized per law (the 128 most recent) and shared read-only.
+    coefficients the mass recurrence runs on.  R and the weights come
+    from :func:`_rate_record`, so the table starts from the same R.
+    Requires strict validity: for other lam some weight is negative and
+    no such decomposition exists.  Memoized per law (the 128 most
+    recent) and shared read-only.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError(
             "compound decomposition requires strict validity (lam = 1 or 1/m); "
             f"got lam={params.lam}"
         )
-    rate = burst_rate(params.alpha, params.theta, params.lam)
-    if not math.isfinite(rate):
-        raise ParameterError(f"burst rate of {params} overflows")
-    weights = _exp_series(params, params.reciprocal_order)[1:]
+    _check_budget(params.reciprocal_order, 0)  # the jump law reads all m terms of the record
+    series, rate, _ = _rate_record(params)
+    weights = series[1:]
     probs = _read_only(weights / math.fsum(weights))
     return JumpLaw(burst_rate=rate, jump_probs=probs)

@@ -27,6 +27,11 @@ _CHUNK = 1 << 14
 # the int64 maximum less ten times its square root, as a double.
 _POISSON_MAX_MEAN = 9.223372006484771e18
 
+# Compound draws expected to take more than this many jumps are refused
+# before anything is drawn, as process.SIMULATION_BUDGET refuses bursts.
+# A chunk's jumps are held at once, about 16 bytes each.
+_JUMP_BUDGET = 20_000_000
+
 
 @dataclass
 class RngStream:
@@ -143,10 +148,18 @@ def sample_compound(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
     time and in output order, their jumps by :func:`sample_jump`, so the
     stream is that of one draw of every jump.  Each output is the
     difference of the jumps' running sum across its own jumps.
+    ParameterError where ``burst_rate * size`` expected jumps exceed
+    :data:`_JUMP_BUDGET` (20 million).
     """
     if size is None:
         return int(sample_compound(jump_law, rng, 1)[0])
     size = _non_negative_int(size, "size")
+    expected = jump_law.burst_rate * size
+    if not expected <= _JUMP_BUDGET:  # also refuses nan
+        raise ParameterError(
+            f"{size} compound draws with {expected:.3g} expected jumps exceed "
+            f"the budget of {_JUMP_BUDGET} jumps"
+        )
     counts = sample_poisson(jump_law.burst_rate, rng, size)
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, _CHUNK):

@@ -26,12 +26,20 @@ def run_cli(*args, env_extra=None):
     )
 
 
+def run_main(capsys, *args):
+    """``run_cli`` through ``main(argv)`` in this process: the same exit
+    code and output streams, without launching an interpreter."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return subprocess.CompletedProcess(list(args), code, captured.out, captured.err)
+
+
 # ----------------------------------------------------------------------
 # table
 
 
-def test_table_poisson_collapse():
-    out = run_cli("table", "--alpha", "1", "--theta", "1", "--lambda", "1")
+def test_table_poisson_collapse(capsys):
+    out = run_main(capsys, "table", "--alpha", "1", "--theta", "1", "--lambda", "1")
     assert out.returncode == 0
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "k,pmf,cdf"
@@ -45,16 +53,17 @@ def test_table_poisson_collapse():
     assert abs(total - 1.0) <= 1e-12
 
 
-def test_table_zero_row_value():
-    out = run_cli("table", "--alpha", "2", "--theta", "0.5", "--lambda", "0.25")
+def test_table_zero_row_value(capsys):
+    out = run_main(capsys, "table", "--alpha", "2", "--theta", "0.5", "--lambda", "0.25")
     row0 = out.stdout.strip().splitlines()[1].split(",")
     rate = 2 * ((1 + 0.25 * 0.5) ** 4 - 1)
     assert float(row0[1]) == pytest.approx(math.exp(-rate), rel=1e-13)
 
 
-def test_table_json_format(tmp_path):
+def test_table_json_format(capsys, tmp_path):
     target = tmp_path / "table.json"
-    out = run_cli(
+    out = run_main(
+        capsys,
         "table", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
         "--format", "json", "--out", str(target),
     )
@@ -82,10 +91,12 @@ def test_table_csv_parses_back_bit_equal(capsys):
     assert tail == f"tail_mass,{table.tail_mass!r},"
 
 
-def test_table_time_scaling():
+def test_table_time_scaling(capsys):
     # --t scales the rate parameter: table at t=2 equals table of 2*alpha
-    direct = run_cli("table", "--alpha", "2", "--theta", "1", "--lambda", "0.5")
-    scaled = run_cli("table", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--t", "2")
+    direct = run_main(capsys, "table", "--alpha", "2", "--theta", "1", "--lambda", "0.5")
+    scaled = run_main(
+        capsys, "table", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--t", "2"
+    )
     assert direct.stdout == scaled.stdout
 
 
@@ -93,22 +104,24 @@ def test_table_time_scaling():
 # moments
 
 
-def test_moments_values():
-    out = run_cli("moments", "--alpha", "2", "--theta", "0.5", "--lambda", "0.5")
+def test_moments_values(capsys):
+    out = run_main(capsys, "moments", "--alpha", "2", "--theta", "0.5", "--lambda", "0.5")
     record = dict(line.split(",") for line in out.stdout.strip().splitlines()[1:])
     assert float(record["mean"]) == pytest.approx(1.25)
     assert float(record["burst_rate"]) == pytest.approx(2 * ((1.25) ** 2 - 1))
     assert float(record["jump_prob_1"]) + float(record["jump_prob_2"]) == pytest.approx(1.0)
 
 
-def test_moments_poisson_dispersion():
-    out = run_cli("moments", "--alpha", "1.5", "--theta", "1", "--lambda", "1")
+def test_moments_poisson_dispersion(capsys):
+    out = run_main(capsys, "moments", "--alpha", "1.5", "--theta", "1", "--lambda", "1")
     record = dict(line.split(",") for line in out.stdout.strip().splitlines()[1:])
     assert float(record["dispersion_ratio"]) == pytest.approx(1.0)
 
 
-def test_moments_burst_rate_example():
-    out = run_cli("moments", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--format", "json")
+def test_moments_burst_rate_example(capsys):
+    out = run_main(
+        capsys, "moments", "--alpha", "1", "--theta", "1", "--lambda", "0.5", "--format", "json"
+    )
     record = json.loads(out.stdout)
     assert record["burst_rate"] == pytest.approx(1.25)
 
@@ -187,6 +200,33 @@ def test_sample_refuses_n_past_budget(capsys, n):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("bellproc: error:") and "budget" in err
+
+
+@pytest.mark.parametrize("alpha, n", [("1e5", "1000"), ("1e4", str(SAMPLE_BUDGET))])
+def test_sample_compound_refuses_jumps_past_budget(capsys, alpha, n):
+    # 1e8 and 1e11 expected jumps: refused before any is drawn
+    args = ["sample", "--alpha", alpha, "--theta", "1", "--lambda", "1", "--method", "compound"]
+    code = main([*args, "--n", n])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bellproc: error:") and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--alpha", "1.5e308", "--theta", "1", "--lambda", "0.5", "--horizon", "1"],
+        ["sample", "--alpha", "1e308", "--theta", "10", "--lambda", "1", "--method", "compound",
+         "--n", "3"],
+        # e_lam(theta) past the largest double, over a series longer than a jump law may be
+        ["moments", "--alpha", "1e-300", "--theta", "750", "--lambda", "1e-6"],
+    ],
+)
+def test_burst_rate_past_the_largest_double_is_a_parameter_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("bellproc: error:") and "overflows" in err
 
 
 # ----------------------------------------------------------------------

@@ -116,8 +116,8 @@ DIGESTS = {
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, 'e17ecabea524b226561b36f7ae063486e9517cf955cca599a77032669e34e025', None),
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'edab6114fb07853e8d72ef77f371a0ab4c43db63a3b38f21bc0091ec7884262e', None),
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format json': (0, 'c3f0f90666d98f65419b74e3348a4821ce2f4c7c8f98fe3b7a368fd552fa8811', None),
-    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '1ea26b928ec2dff076358904b6dbc52d0f9f1b939a864109fa828f3ea621c5c9', None),
-    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, '1694ff0d386aa018aca5ee0d9879c629fba67911e4aa7357840d17e93794357d', None),
+    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '5bc4392c5a2aaf76df1223e5753c73910c4f112927b5861785a48c3b94055910', None),
+    'moments --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, '9666698db0889f5b440ee5e7667d251a1542cdc693b911ced226b0148ead87e0', None),
     'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1000 --seed 7 --format csv': (0, 'a0f7d9dbe09f5c99122b863465ec66aa4b6bafa6ce7118c324b72160a663f65e', None),
     'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1000 --seed 7 --format json': (0, '23c575d0e9a0f04865cb3dcbae3861753c788ee9302d07200a499594ccf15647', None),
     'sample --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --n 1 --seed 7 --format csv': (0, '86511c0add8e1749054dff60b9499ead6e43638796939d537a47366e391a4f9a', None),
@@ -132,8 +132,8 @@ DIGESTS = {
     'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '71cd9c6d4a70afacc3f7b7a5928bdd62335e318bbde2ec5de8b31355248b0e2e', None),
     'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format csv': (0, '79ace5cab03c50a4a38260a9c8c165d08caca785def4bd94cb879f4538850ce1', None),
     'table --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --t 2.5 --tail-tol 1e-10 --format json': (0, '90621d7bf1cd2b3f24b127133fa8bb7ee662e5613cc037a5d85b7e50d3de2b30', None),
-    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '87e0eb216ea80357a6033e1d9538a1f3d3f8788dfde50224b9ad16b993f939f4', None),
-    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '2a76b2d2ed7b9970a903bbc98c454afae700b1c64c1419a8235c40a46ed953e6', None),
+    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format csv': (0, '5cfb53bcd24063591825f638fd789062f1dd6a8c795567b8010676c83d5b4989', None),
+    'moments --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --format json': (0, '9d0169636134cd93f9859784410984142d775c524cb5527aa5b089ea46948dee', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format csv': (0, '705e6271ea5dbae3f3c4edc9e46c97e120da7b40b4ecbd721dfe11a2a5b609f1', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format json': (0, '1bd586adeee82520b6079c7b16c7fdea1c67ca686063a7bcc929252c1e350dcd', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1 --seed 7 --format csv': (0, '3fb31fded24ce4f32b0a3bbee93ea99ab4df7ca8f15f0ae00cffe9968c68d582', None),

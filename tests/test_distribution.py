@@ -21,6 +21,8 @@ from bellproc import (
     Validity,
 )
 from bellproc import distribution as dist
+from bellproc.cli import main
+from bellproc.verify import GRID_ALPHA, GRID_LAM, GRID_THETA
 
 GRID = [
     bp.validate(a, th, lam)
@@ -91,7 +93,7 @@ def test_validate_domain_errors(alpha, theta, lam):
 
 def test_pmf_at_zero_is_exp_of_minus_rate():
     for p in (bp.validate(1, 1, 1), bp.validate(2, 0.5, 0.25)):
-        rate = bp.burst_rate(p.alpha, p.theta, p.lam)
+        rate = bp.decompose(p).burst_rate
         assert bp.pmf(0, p) == pytest.approx(math.exp(-rate), rel=1e-14)
 
 
@@ -465,6 +467,58 @@ def test_jump_mean_times_rate_is_distribution_mean():
     for params in GRID[:20]:
         law = bp.decompose(params)
         assert law.burst_rate * law.mean() == pytest.approx(bp.mean(params), rel=1e-12)
+
+
+# the battery's grid, the CLI digest laws, and two laws whose closed-form
+# rate alpha*(e_lam(theta) - 1) is an ulp off the summed one
+ONE_RATE_LAWS = sorted(
+    {(a, th, lam) for a in GRID_ALPHA for th in GRID_THETA for lam in GRID_LAM}
+    | {
+        (1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.5),
+        (2.0, 0.5, 0.25),
+        (42.795017938700305, 2.0, 0.4996),
+        (16.915395812433825, 2.0, 0.005263157894736842),
+        (0.7, 0.3, 0.6),
+        (478.81202009967103, 2.0, 1 / 242),
+        (1e4, 0.7, 0.5),
+    }
+)
+
+
+@pytest.mark.parametrize("triple", ONE_RATE_LAWS)
+def test_one_rate_per_law(triple, capsys):
+    # the table's p_0, the jump law and `moments` read one float
+    params = bp.validate(*triple)
+    _, rate, _ = dist._rate_record(params)
+    assert dist._rate_record(params) is dist._rate_record(params)
+    a, th, lam = map(repr, triple)
+    assert main(["moments", "--alpha", a, "--theta", th, "--lambda", lam]) == 0
+    record = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+    assert float(record["burst_rate"]) == rate
+    if params.validity is Validity.STRICT:
+        assert bp.decompose(params).burst_rate == rate
+        # the exact sum of alpha * c_j * theta**j, formed here term by term
+        term, terms = 1.0, []
+        for j in range(1, params.reciprocal_order + 1):
+            term *= params.theta * (1.0 - (j - 1) * params.lam) / j
+            terms.append(params.alpha * term)
+        assert math.fsum(terms) == rate
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(1e308, 10.0, 1.0), (1e300, 1e10, 0.5), (1.5e308, 1.0, 0.5), (1e-300, 750.0, 1e-4)],
+)
+def test_rate_past_the_largest_double_is_a_parameter_error(triple):
+    # refused by the library, with no numpy warning (an error under
+    # pytest); in the last law e_lam(theta) is past the largest double
+    # and alpha * (e_lam(theta) - 1) is not, so partial sums overflow
+    params = bp.validate(*triple)
+    with pytest.raises(ParameterError, match="overflows"):
+        bp.decompose(params)
+    with pytest.raises(ParameterError, match="overflows"):
+        bp.simulate_paths(params, 1.0, 1, bp.RngStream(1))
 
 
 # ----------------------------------------------------------------------

@@ -253,6 +253,20 @@ def test_compound_vanishing_rate_gives_zero():
     assert (draws == 0).mean() > 0.999
 
 
+def test_compound_refuses_jumps_past_budget():
+    # burst_rate * size expected jumps past the budget are refused before
+    # a variate is drawn, so the stream is left as it was
+    large = bp.decompose(bp.validate(1e5, 1.0, 1.0))
+    cases = [(large, 1000), (large, 10**30)]
+    for rate in (3e7, math.inf, math.nan):
+        cases.append((bp.JumpLaw(burst_rate=rate, jump_probs=np.array([1.0])), None))
+    for law, size in cases:
+        rng = bp.RngStream(7)
+        with pytest.raises(bp.ParameterError, match="budget"):
+            bp.sample_compound(law, rng, size)
+        assert rng.random() == bp.RngStream(7).random()
+
+
 def test_compound_scalar_matches_law():
     law = bp.decompose(bp.validate(1.0, 1.0, 0.5))
     rng = bp.RngStream(43)
