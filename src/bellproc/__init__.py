@@ -7,7 +7,9 @@ exact special-function kernels, certified truncated tables, two
 independent samplers, path simulation, and a built-in verification
 battery exposed through the ``bellproc`` command line tool.  numpy is
 the only dependency: the battery (``bellproc.verify``) computes its own
-chi-square, Poisson and Kolmogorov-Smirnov references.
+chi-square, Poisson and Kolmogorov-Smirnov references, none through
+BLAS.  The KS law is exact for small n*d**1.5 and elsewhere the
+Pelz-Good series, within 0.5/n**2 relative of the exact law.
 """
 
 from .distribution import (

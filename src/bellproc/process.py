@@ -12,11 +12,13 @@ process: given N(T) = k bursts on (0, T], their epochs are k iid
 uniforms on (0, T] in sorted order.  An ensemble of n paths therefore
 takes n Poisson(R*T) burst counts, one batch of uniform epochs sorted
 within each path, and one batch of jump sizes, with no loop over paths
-or bursts.  It is held as ragged columns (:class:`PathEnsemble`), and
-one path is a one-path ensemble: simulation, counting and superposition
-all take and give that one type.  An ensemble holds its columns
-read-only and is checked by one rule, :func:`_check_paths`.  Writing it
-out as text is left to :mod:`bellproc.cli`.
+or bursts.  Nothing sorts a whole column: the paths that hold c bursts
+are sorted together as one block of c columns, one block per count.  It
+is held as ragged columns (:class:`PathEnsemble`), and one path is a
+one-path ensemble: simulation, counting and superposition all take and
+give that one type.  An ensemble holds its columns read-only and is
+checked by one rule, :func:`_check_paths`.  Writing it out as text is
+left to :mod:`bellproc.cli`.
 """
 
 from __future__ import annotations
@@ -135,8 +137,11 @@ class PathEnsemble(Sequence):
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Running count within its own path at each burst."""
-        running = np.concatenate(([0], np.cumsum(self.sizes)))
-        return _read_only(running[1:] - running[self.offsets[:-1]][self.owners])
+        running = np.cumsum(self.sizes)
+        # less the running count where each path starts
+        starts = np.concatenate(([0], running))[self.offsets[:-1]]
+        running -= np.repeat(starts, np.diff(self.offsets))
+        return _read_only(running)
 
     def counts_at(self, ts) -> np.ndarray:
         """Counts of every path at every time in ``ts``, as an array of
@@ -162,6 +167,20 @@ class PathEnsemble(Sequence):
         return counts
 
 
+def _blocks_by_count(counts: np.ndarray):
+    """One block of burst indices for each count c >= 2 in ``counts``:
+    row i holds the c indices of the i-th path with c bursts, in columns
+    that hold the ``counts[0]`` bursts of path 0, then those of path 1,
+    and so on."""
+    by_count = np.argsort(counts, kind="stable")
+    ordered = counts[by_count]
+    starts = np.cumsum(counts) - counts
+    edges = [0, *(np.flatnonzero(np.diff(ordered)) + 1), len(ordered)]
+    for lo, hi in zip(edges, edges[1:]):
+        if hi > lo and ordered[lo] >= 2:
+            yield starts[by_count[lo:hi], None] + np.arange(ordered[lo])
+
+
 def _coalesced(
     params: DegenParams,
     horizon: float,
@@ -170,10 +189,11 @@ def _coalesced(
     times: np.ndarray,
     sizes: np.ndarray,
 ) -> PathEnsemble:
-    """Ensemble from bursts sorted by (path, time).  Bursts that share a
-    path and an epoch, a measure-zero fp artifact, become one burst with
-    the summed size: every counting function is unchanged and the times
-    stay strictly increasing."""
+    """Ensemble from bursts sorted by (path, time): grouped by path in
+    path order, and by time within each path.  Bursts that share a path
+    and an epoch, a measure-zero fp artifact, become one burst with the
+    summed size: every counting function is unchanged and the times stay
+    strictly increasing."""
     if len(times) > 1:
         new = np.concatenate(([True], (np.diff(times) != 0.0) | (np.diff(owners) != 0)))
         if not new.all():
@@ -194,9 +214,10 @@ def simulate_paths(
     draws a Poisson(R*T) burst count, its epochs are iid uniforms on
     (0, T] sorted within the path, and the jump sizes are iid from the
     jump law.  The stream gives the counts, then the epochs, then the
-    sizes.  Raises ParameterError for non-strict parameters, for an
-    ``n_paths`` that is not a positive integer and for a simulation past
-    :data:`SIMULATION_BUDGET`.
+    sizes.  The paths that hold c >= 2 bursts are sorted together, as
+    one (paths, c) block along its rows.  Raises ParameterError for
+    non-strict parameters, for an ``n_paths`` that is not a positive
+    integer and for a simulation past :data:`SIMULATION_BUDGET`.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError("path simulation requires strict validity")
@@ -213,10 +234,13 @@ def simulate_paths(
             f"the simulation budget of {SIMULATION_BUDGET} paths and bursts"
         )
     counts = sample_poisson(mean_bursts, rng, n_paths)
-    owners = np.repeat(np.arange(n_paths), counts)
-    epochs = horizon * (1.0 - rng.random(len(owners)))  # 1 - u lies in (0, 1]
-    epochs = epochs[np.lexsort((epochs, owners))]
+    epochs = horizon * (1.0 - rng.random(int(counts.sum())))  # 1 - u lies in (0, 1]
+    for rows in _blocks_by_count(counts):
+        block = epochs[rows]
+        block.sort(axis=1)
+        epochs[rows] = block
     sizes = sample_jump(law, rng, len(epochs))
+    owners = np.repeat(np.arange(n_paths), counts)
     return _coalesced(params, horizon, n_paths, owners, epochs, sizes)
 
 
@@ -253,7 +277,10 @@ def superpose(paths: Sequence[PathEnsemble]) -> PathEnsemble:
     item.  Closed within the family only when every item shares theta,
     lam and the horizon; the sum carries the summed rate parameter.
     Coincident burst times within a merged path (possible only as an fp
-    artifact) are coalesced by summing their sizes.  A single item is
+    artifact) are coalesced by summing their sizes.  The bursts are
+    grouped by path with a stable sort, then each block of paths with
+    equally many bursts is ordered by time with a stable sort along its
+    rows; tied epochs keep the order of the items.  A single item is
     returned as it is.
     """
     if not paths:
@@ -274,8 +301,13 @@ def superpose(paths: Sequence[PathEnsemble]) -> PathEnsemble:
         raise IncompatibleParametersError("superposition requires equally many paths")
     owners = np.concatenate([p.owners for p in paths])
     times = np.concatenate([p.times for p in paths])
+    order = np.argsort(owners, kind="stable")
+    for rows in _blocks_by_count(np.bincount(owners, minlength=n_paths)):
+        block = order[rows]
+        order[rows] = np.take_along_axis(
+            block, np.argsort(times[block], axis=1, kind="stable"), axis=1
+        )
     sizes = np.concatenate([p.sizes for p in paths])
-    order = np.lexsort((times, owners))
     merged_params = validate(
         math.fsum(p.params.alpha for p in paths), first.params.theta, first.params.lam
     )

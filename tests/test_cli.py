@@ -145,10 +145,10 @@ def test_moments_dispersion_when_the_mean_underflows(capsys):
 # sample
 
 
-def test_sample_deterministic_given_seed():
+def test_sample_deterministic_given_seed(capsys):
     args = ("sample", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
             "--n", "500", "--seed", "77")
-    assert run_cli(*args).stdout == run_cli(*args).stdout
+    assert run_main(capsys, *args).stdout == run_main(capsys, *args).stdout
 
 
 def test_sample_env_seed_fallback():
@@ -158,10 +158,10 @@ def test_sample_env_seed_fallback():
     assert with_env.stdout == with_flag.stdout
 
 
-def test_sample_methods_both_run():
+def test_sample_methods_both_run(capsys):
     for method in ("inverse-cdf", "compound"):
-        out = run_cli(
-            "sample", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
+        out = run_main(
+            capsys, "sample", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
             "--n", "100", "--seed", "5", "--method", method,
         )
         assert out.returncode == 0
@@ -170,9 +170,9 @@ def test_sample_methods_both_run():
         assert all(v >= 0 for v in values)
 
 
-def test_sample_footer_mean():
-    out = run_cli(
-        "sample", "--alpha", "1", "--theta", "1", "--lambda", "1",
+def test_sample_footer_mean(capsys):
+    out = run_main(
+        capsys, "sample", "--alpha", "1", "--theta", "1", "--lambda", "1",
         "--n", "1000000", "--seed", "11",
     )
     footer = [l for l in out.stdout.strip().splitlines() if l.startswith("#")]
@@ -233,9 +233,9 @@ def test_burst_rate_past_the_largest_double_is_a_parameter_error(capsys, argv):
 # simulate
 
 
-def test_simulate_single_path_sorted():
-    out = run_cli(
-        "simulate", "--alpha", "2", "--theta", "1", "--lambda", "0.5",
+def test_simulate_single_path_sorted(capsys):
+    out = run_main(
+        capsys, "simulate", "--alpha", "2", "--theta", "1", "--lambda", "0.5",
         "--horizon", "5", "--seed", "13",
     )
     lines = out.stdout.strip().splitlines()
@@ -245,24 +245,24 @@ def test_simulate_single_path_sorted():
     assert all(0 < t <= 5 for t in times)
 
 
-def test_simulate_order_one_unit_sizes():
-    out = run_cli(
-        "simulate", "--alpha", "1", "--theta", "1", "--lambda", "1",
+def test_simulate_order_one_unit_sizes(capsys):
+    out = run_main(
+        capsys, "simulate", "--alpha", "1", "--theta", "1", "--lambda", "1",
         "--horizon", "20", "--seed", "17",
     )
     sizes = [int(l.split(",")[1]) for l in out.stdout.strip().splitlines()[1:]]
     assert sizes and all(s == 1 for s in sizes)
 
 
-def test_simulate_deterministic():
+def test_simulate_deterministic(capsys):
     args = ("simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
             "--horizon", "2", "--paths", "10", "--seed", "19")
-    assert run_cli(*args).stdout == run_cli(*args).stdout
+    assert run_main(capsys, *args).stdout == run_main(capsys, *args).stdout
 
 
-def test_simulate_tiny_horizon_mostly_empty():
-    out = run_cli(
-        "simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
+def test_simulate_tiny_horizon_mostly_empty(capsys):
+    out = run_main(
+        capsys, "simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
         "--horizon", "0.001", "--paths", "10000", "--seed", "23",
         "--marginal", "0.001", "--format", "json",
     )
@@ -272,9 +272,9 @@ def test_simulate_tiny_horizon_mostly_empty():
     assert empty_fraction == pytest.approx(math.exp(-0.00125), abs=4e-3)
 
 
-def test_simulate_marginal_histogram_csv():
-    out = run_cli(
-        "simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
+def test_simulate_marginal_histogram_csv(capsys):
+    out = run_main(
+        capsys, "simulate", "--alpha", "1", "--theta", "1", "--lambda", "0.5",
         "--horizon", "1", "--paths", "200", "--seed", "29", "--marginal", "1",
     )
     text = out.stdout
@@ -355,8 +355,10 @@ def test_simulate_bytes_match_per_path_rendering(tmp_path, fmt, n_paths, margina
 
 @pytest.fixture(scope="module")
 def verify_result(tmp_path_factory):
+    # capsys serves one test only, so the report goes to a file
     target = tmp_path_factory.mktemp("verify") / "report.json"
-    out = run_cli("verify", "--seed", "12345", "--out", str(target))
+    argv = ["verify", "--seed", "12345", "--out", str(target)]
+    out = subprocess.CompletedProcess(argv, main(argv))
     return out, json.loads(target.read_text())
 
 
@@ -376,17 +378,17 @@ def test_verify_report_round_trips(verify_result):
         assert {"name", "statistic", "threshold", "comparison", "passed"} <= set(check)
 
 
-def test_verify_deterministic_modulo_wall_time(verify_result):
+def test_verify_deterministic_modulo_wall_time(capsys, verify_result):
     _, report = verify_result
-    again_out = run_cli("verify", "--seed", "12345")
+    again_out = run_main(capsys, "verify", "--seed", "12345")
     again = json.loads(again_out.stdout)
     a = {k: v for k, v in report.items() if k != "wall_time"}
     b = {k: v for k, v in again.items() if k != "wall_time"}
     assert a == b
 
 
-def test_verify_perturbation_fails():
-    out = run_cli("verify", "--seed", "12345", "--perturb", "variance", "1.05")
+def test_verify_perturbation_fails(capsys):
+    out = run_main(capsys, "verify", "--seed", "12345", "--perturb", "variance", "1.05")
     assert out.returncode == 1
     report = json.loads(out.stdout)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]

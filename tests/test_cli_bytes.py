@@ -160,8 +160,8 @@ DIGESTS = {
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
-    'verify --seed 12345 --format csv': (0, '980ddd9d21bc1d455f256c0d34aaac522f4ad66b3369e8814336974f80861bb1', None),
-    'verify --seed 12345 --format json': (0, '4d05aafea60d1cd78962e8f6089efd7c53bf3c865b1f37bbccf58522f2b9deca', None),
+    'verify --seed 12345 --format csv': (0, 'abcd31fb99c68e48deba0eb9bd56cb446e8eb88de3569e8a855fe72ff06fb5af', None),
+    'verify --seed 12345 --format json': (0, '562c5ad13b17a3d4d400c201f323ede54051ef1b7e24463da3bae71769ba6124', None),
 }
 
 

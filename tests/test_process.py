@@ -329,6 +329,103 @@ def test_superpose_ensembles_coalesce_within_a_path_only():
 
 
 # ----------------------------------------------------------------------
+# ordering within paths, against a global lexsort over (path, time)
+
+
+def _simulate_by_lexsort(params, horizon, n_paths, rng):
+    """simulate_paths with its epochs ordered by one lexsort."""
+    law = bp.decompose(params)
+    counts = process.sample_poisson(law.burst_rate * horizon, rng, n_paths)
+    owners = np.repeat(np.arange(n_paths), counts)
+    epochs = horizon * (1.0 - rng.random(len(owners)))
+    epochs = epochs[np.lexsort((epochs, owners))]
+    sizes = process.sample_jump(law, rng, len(epochs))
+    return process._coalesced(params, horizon, n_paths, owners, epochs, sizes)
+
+
+def _superpose_by_lexsort(items):
+    """superpose with its bursts ordered by one lexsort."""
+    owners = np.concatenate([p.owners for p in items])
+    times = np.concatenate([p.times for p in items])
+    sizes = np.concatenate([p.sizes for p in items])
+    order = np.lexsort((times, owners))
+    first = items[0].params
+    params = bp.validate(math.fsum(p.params.alpha for p in items), first.theta, first.lam)
+    return process._coalesced(
+        params, items[0].horizon, len(items[0]), owners[order], times[order], sizes[order]
+    )
+
+
+def _same_bits(got, want):
+    assert got.params == want.params and got.horizon == want.horizon
+    for name in ("offsets", "times", "sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _gridded(counts, rng, grid=512, alpha=1.0):
+    """An ensemble whose path i holds counts[i] bursts on the epochs
+    k/grid, so that separate ensembles share epochs."""
+    times = [np.sort(rng.choice(grid, c, replace=False) + 1.0) / grid for c in counts]
+    return bp.PathEnsemble(
+        bp.validate(alpha, 1.0, 0.5), 1.0, np.concatenate(([0], np.cumsum(counts))),
+        np.concatenate([[], *times]), rng.integers(1, 3, int(np.sum(counts))),
+    )
+
+
+@pytest.mark.parametrize(
+    "horizon, n_paths, seed",
+    [
+        (0.3, 500, 1),  # most paths empty
+        (2000.0, 1, 2),  # one path holds every burst
+        (1.0, 3000, 3),
+        (40.0, 250, 4),  # about 60 distinct counts
+    ],
+)
+def test_simulate_orders_as_lexsort(horizon, n_paths, seed):
+    got = bp.simulate_paths(P_HALF, horizon, n_paths, bp.RngStream(seed))
+    _same_bits(got, _simulate_by_lexsort(P_HALF, horizon, n_paths, bp.RngStream(seed)))
+
+
+def test_simulate_orders_as_lexsort_over_400_counts(monkeypatch):
+    # every count from 0 to 399, twice, in shuffled path order
+    counts = np.random.default_rng(5).permutation(np.repeat(np.arange(400), 2))
+    monkeypatch.setattr(process, "sample_poisson", lambda mean, rng, size: counts.copy())
+    got = bp.simulate_paths(P_HALF, 1.0, len(counts), bp.RngStream(6))
+    assert len(np.unique(np.diff(got.offsets))) == 400
+    _same_bits(got, _simulate_by_lexsort(P_HALF, 1.0, len(counts), bp.RngStream(6)))
+
+
+def test_simulate_orders_tied_epochs_as_lexsort():
+    got = bp.simulate_paths(P_HALF, 2.0, 300, _TiedUniforms(7))
+    _same_bits(got, _simulate_by_lexsort(P_HALF, 2.0, 300, _TiedUniforms(7)))
+
+
+def test_superpose_orders_as_lexsort_with_shared_epochs():
+    rng = np.random.default_rng(8)
+    spread = rng.permutation(np.arange(400))  # 400 distinct counts
+    lone = np.zeros(400, dtype=np.int64)
+    lone[17] = 500  # one path holds every burst
+    items = [
+        _gridded(spread, rng), _gridded(rng.integers(0, 5, 400), rng, alpha=2.0),
+        _gridded(lone, rng), _gridded(spread[::-1], rng, alpha=0.5),
+    ]
+    for picked in (items[:2], items[1:3], items[2:3] * 2, items):
+        got = bp.superpose(picked)
+        # shared epochs across items coalesce, so some paths hold fewer bursts
+        assert len(got.times) < sum(len(p.times) for p in picked)
+        _same_bits(got, _superpose_by_lexsort(picked))
+    simulated = [bp.simulate_paths(P_HALF, 0.3, 500, bp.RngStream(s)) for s in (9, 10)]
+    _same_bits(bp.superpose(simulated), _superpose_by_lexsort(simulated))
+
+
+def test_superpose_of_empty_ensembles():
+    empty = _gridded(np.zeros(0, dtype=np.int64), np.random.default_rng(11))
+    assert len(empty) == 0
+    _same_bits(bp.superpose([empty, empty]), _superpose_by_lexsort([empty, empty]))
+
+
+# ----------------------------------------------------------------------
 # path ensembles
 
 

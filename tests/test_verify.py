@@ -1,7 +1,11 @@
 """The battery's reference distributions against scipy and mpmath, and
 its power against faults injected into the compound law."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -67,6 +71,62 @@ def test_ks_sf_against_scipy_exact_small_n():
     for n in range(1, 141):
         for d in _ks_points(n, np.linspace(0.01, 0.75, 12)):
             assert ks_sf(d, n) == pytest.approx(float(stats.kstwo.sf(d, n)), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n", [141, 1000, 11_984, 20_000])
+def test_ks_sf_against_scipy_across_the_exact_and_series_split(n):
+    # the exact law up to n*d**1.5 = 1.4, the Pelz-Good series past it
+    edge = (1.4 / n) ** (2.0 / 3.0)
+    for scale in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 1.5):
+        d = edge * scale
+        if n * d * d < 2.2:
+            assert ks_sf(d, n) == pytest.approx(float(stats.kstwo.sf(d, n)), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("n", [140, 141])
+def test_ks_sf_against_scipy_either_side_of_n_140(n):
+    # below n*d**2 = 2.2, where ks_sf switches to twice the one-sided law
+    for d in _ks_points(n, np.geomspace(0.02, 2.2, 60)):
+        ref = float(stats.kstwo.sf(d, n))
+        assert ref >= 1e-300
+        assert ks_sf(d, n) == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("n", [141, 1000, 11_984])
+def test_pelz_good_within_its_stated_bound_of_the_exact_law(n):
+    # ks_sf's docstring: within 0.5/n**2 relative where the series is used
+    low, high = (1.4 / n) ** (2.0 / 3.0), math.sqrt(2.2 / n)
+    points = 40 if n < 10_000 else 4
+    for d in np.linspace(low, high, points + 2)[1:-1]:
+        exact = 1.0 - verify._ks_cdf(d, n)
+        assert ks_sf(d, n) == pytest.approx(exact, rel=0.5 / n**2, abs=0)
+
+
+# every route of ks_sf: the exact law at small and large n, the series,
+# twice the one-sided law, and 0
+KS_GRID = [
+    (math.sqrt(x / n), n)
+    for n in (5, 140, 141, 11_984, 20_000)
+    for x in np.geomspace(0.05, 400.0, 25)
+]
+
+
+@pytest.mark.parametrize(
+    "env", [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Haswell"}],
+    ids=["one_thread", "haswell"],
+)
+def test_ks_sf_bits_hold_under_other_blas_settings(env):
+    here = [ks_sf(d, n).hex() for d, n in KS_GRID]
+    code = (
+        "import json, sys; from bellproc.verify import ks_sf; "
+        "print(json.dumps([ks_sf(d, n).hex() for d, n in json.loads(sys.stdin.read())]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(KS_GRID), capture_output=True,
+        text=True, env={**os.environ, **env}, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == here
 
 
 def test_ks_pvalue_matches_kstest_on_exponential_gaps():
