@@ -213,11 +213,14 @@ def simulate_paths(
     Exact by the order statistics of the Poisson process: each path
     draws a Poisson(R*T) burst count, its epochs are iid uniforms on
     (0, T] sorted within the path, and the jump sizes are iid from the
-    jump law.  The stream gives the counts, then the epochs, then the
-    sizes.  The paths that hold c >= 2 bursts are sorted together, as
-    one (paths, c) block along its rows.  Raises ParameterError for
-    non-strict parameters, for an ``n_paths`` that is not a positive
-    integer and for a simulation past :data:`SIMULATION_BUDGET`.
+    jump law.  The counts come from :func:`sample_poisson`'s certified
+    table, within 1e-12 of Poisson(R*T) in total variation for R*T up
+    to 1,000 and within 2e-15 * R*T past it.  The stream gives the
+    counts, then the epochs, then the sizes.  The paths that hold c >= 2
+    bursts are sorted together, as one (paths, c) block along its rows.
+    Raises ParameterError for non-strict parameters, for an ``n_paths``
+    that is not a positive integer and for a simulation past
+    :data:`SIMULATION_BUDGET`.
     """
     if params.validity is not Validity.STRICT:
         raise ParameterError("path simulation requires strict validity")

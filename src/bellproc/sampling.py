@@ -5,17 +5,22 @@ of the certified table (the oracle route) and the compound construction
 of a Poisson number of bursts with iid positive jump sizes (the route
 that extends to path simulation).  Their agreement is part of the
 verification battery.  Both invert their uniforms by one exact indexed
-search, a chunk at a time.  Seeds, stream indices and sizes are checked by
+search, a chunk at a time.  The Poisson burst counts take the table
+route too: Poisson(mu) is the law (mu, 1, 1), so its counts are drawn
+from that law's certified table, for means up to 2e7 (the most a
+compound draw can ask for).  Every seeded draw therefore reads only
+``Generator.random``.  Seeds, stream indices and sizes are checked by
 the integer rule of :mod:`bellproc.special`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .distribution import JumpLaw, PmfTable
+from .distribution import DEFAULT_TAIL_TOL, DegenParams, JumpLaw, PmfTable, Validity, _pmf_table
 from .errors import ParameterError, RangeError
 from .special import _non_negative_int
 
@@ -23,14 +28,20 @@ from .special import _non_negative_int
 # in cache.  Draws in passes give the stream of one long draw.
 _CHUNK = 1 << 14
 
-# numpy's Generator.poisson refuses a larger mean: its POISSON_LAM_MAX,
-# the int64 maximum less ten times its square root, as a double.
-_POISSON_MAX_MEAN = 9.223372006484771e18
+# Fewer uniforms than this are inverted by a plain binary search, which
+# costs less than the guide's several passes there.
+_GUIDE_MIN_DRAWS = 512
 
 # Compound draws expected to take more than this many jumps are refused
 # before anything is drawn, as process.SIMULATION_BUDGET refuses bursts.
-# A chunk's jumps are held at once, about 16 bytes each.
+# A chunk's jumps are held at once, about 16 bytes each.  It is also the
+# largest Poisson mean drawn: a compound draw of size 1 reaches it.
 _JUMP_BUDGET = 20_000_000
+
+# A Poisson mean past this is drawn as the sum of a power of two of
+# equal parts, each at most this mean, so no Poisson table holds more
+# than 1,255 masses.
+_POISSON_PART_MEAN = 1_000.0
 
 
 @dataclass
@@ -60,22 +71,6 @@ class RngStream:
         return self.generator.random(size)
 
 
-def sample_poisson(mean: float, rng: RngStream, size: int | None = None):
-    """Exact Poisson variates with the given mean (mean 0 gives 0).
-
-    ParameterError for a negative or nan mean; RangeError for a mean
-    past numpy's limit of about 9.2e18, infinity included.
-    """
-    if not mean >= 0.0:  # also refuses nan
-        raise ParameterError(f"Poisson mean must be >= 0, got {mean}")
-    if mean > _POISSON_MAX_MEAN:
-        raise RangeError(f"Poisson mean {mean} exceeds numpy's limit of {_POISSON_MAX_MEAN!r}")
-    if size is not None:
-        size = _non_negative_int(size, "size")
-    out = rng.generator.poisson(mean, size)
-    return np.asarray(out, dtype=np.int64) if size is not None else int(out)
-
-
 def _invert(guide: np.ndarray, cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     """np.searchsorted(cumulative, u, side="right") for u in [0, 1), by
     indexed search (Chen and Asau, 1974; Devroye, Non-Uniform Random
@@ -87,8 +82,11 @@ def _invert(guide: np.ndarray, cumulative: np.ndarray, u: np.ndarray) -> np.ndar
     result <= guide[g+1].  Where the two bounds agree, that is the
     answer; the few uniforms whose bin holds a cumulative entry are
     searched alone.  So the result equals the plain search's, integer
-    for integer.
+    for integer; fewer than :data:`_GUIDE_MIN_DRAWS` uniforms take the
+    plain search.
     """
+    if len(u) < _GUIDE_MIN_DRAWS:
+        return np.searchsorted(cumulative, u, side="right")
     g = (u * (len(guide) - 1)).astype(np.intp)
     out = guide[g]
     ambiguous = np.flatnonzero(out != guide[g + 1])
@@ -96,16 +94,81 @@ def _invert(guide: np.ndarray, cumulative: np.ndarray, u: np.ndarray) -> np.ndar
     return out
 
 
-def sample_jump(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
-    """Jump sizes >= 1, by inversion over the finite support.
+def _sizes(size: int | None) -> int:
+    """The count of variates a draw of ``size`` makes: 1 for a scalar."""
+    return 1 if size is None else _non_negative_int(size, "size")
 
-    The uniforms are drawn and inverted :data:`_CHUNK` at a time by the
-    exact indexed search of :func:`_invert`; the stream and the result
-    are those of one draw of ``size`` uniforms and a binary search.
+
+def _shaped(out: np.ndarray, size: int | None):
+    """A draw's variates as the caller asked: an int for a scalar."""
+    return int(out[0]) if size is None else out
+
+
+def _draw_table(table: PmfTable, rng: RngStream, size: int) -> np.ndarray:
+    """The one table route, of :func:`sample_inverse_cdf` and
+    :func:`sample_poisson`: ``size`` draws, tail sliver redrawn."""
+    guide, cum = table.guide, table.cumulative
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _CHUNK):
+        part = out[start : start + _CHUNK]
+        part[:] = _invert(guide, cum, rng.random(len(part)))
+    bad = (out > table.support_max).nonzero()[0]
+    while bad.size:
+        out[bad] = _invert(guide, cum, rng.random(bad.size))
+        bad = bad[out[bad] > table.support_max]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _poisson_table(mean: float) -> PmfTable:
+    """The certified table of Poisson(mean), the law (mean, 1, 1)."""
+    return _pmf_table(DegenParams(mean, 1.0, 1.0, Validity.STRICT), DEFAULT_TAIL_TOL)
+
+
+def _draw_poisson(mean: float, rng: RngStream, size: int) -> np.ndarray:
+    """``size`` Poisson(mean) variates for a checked mean in [0, 2e7].
+
+    A mean past :data:`_POISSON_PART_MEAN` is split into p equal parts,
+    p the least power of two that brings each part to at most that
+    mean; as p is a power of two, mean / p is exact, so the sum of p
+    independent Poisson(mean / p) variates has exactly the Poisson(mean)
+    law.  Variate i sums the draws of uniforms i*p .. i*p + p - 1 of one
+    draw of p * size uniforms.
     """
-    if size is None:
-        return int(sample_jump(jump_law, rng, 1)[0])
-    size = _non_negative_int(size, "size")
+    if mean == 0.0:
+        return np.zeros(size, dtype=np.int64)
+    parts = 1
+    while mean > _POISSON_PART_MEAN * parts:
+        parts *= 2
+    out = _draw_table(_poisson_table(mean / parts), rng, parts * size)
+    return out if parts == 1 else out.reshape(size, parts).sum(axis=1)
+
+
+def sample_poisson(mean: float, rng: RngStream, size: int | None = None):
+    """Poisson variates with the given mean (mean 0 gives 0, drawing nothing).
+
+    Drawn by inversion of the certified table of the law (mean, 1, 1),
+    through the same indexed search and tail-sliver redraw as
+    :func:`sample_inverse_cdf`.  A mean past mu0 = 1,000 is split into p
+    equal parts (p the least power of two with mean / p <= mu0), whose
+    sum has exactly the Poisson(mean) law.  Each part lies within its
+    table's certified tail (<= 1e-12) of its Poisson law in total
+    variation, so a variate lies within p * 1e-12 of Poisson(mean):
+    1e-12 up to mu0, and under 2e-15 * mean past it.
+
+    ParameterError for a negative or nan mean; RangeError for a mean
+    past 2e7, infinity included.  2e7 is the largest mean a compound
+    draw asks for; one variate there takes 32,768 parts of mean about
+    610, a few milliseconds.  Nothing is drawn before a refusal.
+    """
+    if not mean >= 0.0:  # also refuses nan
+        raise ParameterError(f"Poisson mean must be >= 0, got {mean}")
+    if mean > _JUMP_BUDGET:
+        raise RangeError(f"Poisson mean {mean} exceeds the limit of {_JUMP_BUDGET:.3g}")
+    return _shaped(_draw_poisson(float(mean), rng, _sizes(size)), size)
+
+
+def _draw_jumps(jump_law: JumpLaw, rng: RngStream, size: int) -> np.ndarray:
     guide, cum = jump_law.guide, jump_law.cumulative
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, _CHUNK):
@@ -116,6 +179,16 @@ def sample_jump(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
     return out
 
 
+def sample_jump(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
+    """Jump sizes >= 1, by inversion over the finite support.
+
+    The uniforms are drawn and inverted :data:`_CHUNK` at a time by the
+    exact indexed search of :func:`_invert`; the stream and the result
+    are those of one draw of ``size`` uniforms and a binary search.
+    """
+    return _shaped(_draw_jumps(jump_law, rng, _sizes(size)), size)
+
+
 def sample_inverse_cdf(table: PmfTable, rng: RngStream, size: int | None = None):
     """Inverse-transform draws from a certified table.
 
@@ -124,48 +197,39 @@ def sample_inverse_cdf(table: PmfTable, rng: RngStream, size: int | None = None)
     uncovered tail sliver (probability at most the table's tail mass,
     <= 1e-12 by default) is redrawn once every first draw is made, so
     the stream order and the result are those of a binary search over
-    one draw of ``size`` uniforms.
+    one draw of ``size`` uniforms.  :func:`sample_poisson` draws its
+    counts by the same route.
     """
-    if size is None:
-        return int(sample_inverse_cdf(table, rng, 1)[0])
-    size = _non_negative_int(size, "size")
-    guide, cum = table.guide, table.cumulative
-    out = np.empty(size, dtype=np.int64)
-    for start in range(0, size, _CHUNK):
-        part = out[start : start + _CHUNK]
-        part[:] = _invert(guide, cum, rng.random(len(part)))
-    bad = np.flatnonzero(out > table.support_max)
-    while bad.size:
-        out[bad] = _invert(guide, cum, rng.random(bad.size))
-        bad = bad[out[bad] > table.support_max]
-    return out
+    return _shaped(_draw_table(table, rng, _sizes(size)), size)
 
 
-def sample_compound(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
-    """Sum of a Poisson number of iid jumps; same law as the table route.
-
-    All burst counts are drawn first, then, :data:`_CHUNK` outputs at a
-    time and in output order, their jumps by :func:`sample_jump`, so the
-    stream is that of one draw of every jump.  Each output is the
-    difference of the jumps' running sum across its own jumps.
-    ParameterError where ``burst_rate * size`` expected jumps exceed
-    :data:`_JUMP_BUDGET` (20 million).
-    """
-    if size is None:
-        return int(sample_compound(jump_law, rng, 1)[0])
-    size = _non_negative_int(size, "size")
+def _draw_compound(jump_law: JumpLaw, rng: RngStream, size: int) -> np.ndarray:
     expected = jump_law.burst_rate * size
     if not expected <= _JUMP_BUDGET:  # also refuses nan
         raise ParameterError(
             f"{size} compound draws with {expected:.3g} expected jumps exceed "
             f"the budget of {_JUMP_BUDGET} jumps"
         )
-    counts = sample_poisson(jump_law.burst_rate, rng, size)
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, _CHUNK):
-        part = counts[start : start + _CHUNK]
-        ends = np.cumsum(part)
+        counts = sample_poisson(jump_law.burst_rate, rng, min(_CHUNK, size - start))
+        ends = np.cumsum(counts)
         run = np.zeros(ends[-1] + 1, dtype=np.int64)
         np.cumsum(sample_jump(jump_law, rng, ends[-1]), out=run[1:])
-        out[start : start + _CHUNK] = run[ends] - run[ends - part]
+        out[start : start + _CHUNK] = run[ends] - run[ends - counts]
     return out
+
+
+def sample_compound(jump_law: JumpLaw, rng: RngStream, size: int | None = None):
+    """Sum of a Poisson number of iid jumps; same law as the table route.
+
+    The outputs are made :data:`_CHUNK` at a time, in output order: a
+    chunk's burst counts by :func:`sample_poisson`, then their jumps by
+    :func:`sample_jump`.  So the stream alternates between each chunk's
+    counts and its jumps, and no more than one chunk's counts are held
+    at once.  Each output is the difference of the jumps' running sum
+    across its own jumps.  ParameterError where ``burst_rate * size``
+    expected jumps exceed :data:`_JUMP_BUDGET` (20 million), before
+    anything is drawn.
+    """
+    return _shaped(_draw_compound(jump_law, rng, _sizes(size)), size)

@@ -6,16 +6,20 @@ compared with the table committed here.  ``verify --format json`` is
 hashed without its ``wall_time`` line, the one value that is not
 deterministic.
 
-The digests depend on numpy's ``Generator`` streams, so they hold for
-the numpy version stored with them; on another version the test is
-skipped.  A change that alters seeded output on purpose replaces the
-table with the observed one, which the failure message prints in the
-same layout, and names each changed argv in its change notes.
+The digests depend on numpy's ``Generator.random`` stream, so they
+hold for the numpy version stored with them; on another version the
+test is skipped.  A change that alters seeded output on purpose
+replaces the table with the observed one, which the failure message
+prints in the same layout, and names each changed argv in its change
+notes.
 
 The table argvs are also run in a child whose numpy has its AVX-512
 code paths switched off, as on a CPU without them: the masses are
 formed by exact binary scaling, not by numpy's SIMD ``exp``, so those
-digests hold there too.
+digests hold there too.  The compound ``sample`` and the ``simulate``
+argvs are run in children with one BLAS thread and with OpenBLAS's
+AVX2 kernels: their Poisson tables have a one-weight recurrence, so
+their digests hold there too.
 """
 
 import hashlib
@@ -74,12 +78,12 @@ DIGESTS = {
     'sample --alpha 1 --theta 1 --lambda 1 --n 1000 --seed 7 --format json': (0, '2662c9f0c2699b07e408d0633170d2a901796e68ecc7ed2d4caf0cf5af541b93', None),
     'sample --alpha 1 --theta 1 --lambda 1 --n 1 --seed 7 --format csv': (0, '69c7caeeb286993227452c7358e28057a367cabbb5b4bd90c27ba3518af4dd30', None),
     'sample --alpha 1 --theta 1 --lambda 1 --n 1 --seed 7 --format json': (0, '0a7e57af8fd7f54d84cc07eaac7be8c9ed0df63042e5b76c35332eb8296b84c5', None),
-    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format csv': (0, '0ef84db3184a0eea49a4a6727b188d55abc34f5d74f423befdba0c18fbe10499', None),
-    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format json': (0, '22fec12a435e155948804a18389d7028cfed378b96cbbfdf4731b61efa16ce57', None),
-    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
-    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '83ddd561de6e1df7e3c5d9fa653efd8dc594366615944072f18ccd625dbd73e2', None),
-    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'd165d6df1e1d85f72aa37e82d21eba1151bef16f8f1a4ee42858dafcbe29f5d4', None),
-    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, 'd1e33e484824ca182b63c9801514edbb65be613314e30df273b17b3b37819f86', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format csv': (0, '8873e79ffaba22a03b36e7368e98af18e89e06fe3077adc5cab08e9b7cfecc76', None),
+    'sample --alpha 1 --theta 1 --lambda 1 --method compound --n 500 --seed 9 --format json': (0, '261432804770bdaeecca475d756f22e799d8d9ebc13653c1398239eb59fd8163', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, '178aa5c9bcd202a8dd86706451107b4ab73b1b0d6738642eb047e31d2cfb4757', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'b8631db898e179a983d409eeaeffe3d361bc36bdee89bc93fda476f0bf554f21', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'bb21a83d01f95fe24833bda3497a1d838dde8a6774373db162f10232770761a8', None),
+    'simulate --alpha 1 --theta 1 --lambda 1 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '48732992a17f960e64bde103af22d07626f322f74724a24c52f3ce5a43bab859', None),
     'table --alpha 1 --theta 1 --lambda 0.5 --format csv': (0, 'bbea62bd695b6a6a3c69bf6ae3c6665645dfd6c72d67f81420635c5c51c148c2', None),
     'table --alpha 1 --theta 1 --lambda 0.5 --format json': (0, 'e4697bd63a8ecd4633dfdaa0225e28965bccb18f36119eb8f56b46b431235569', None),
     'table --alpha 1 --theta 1 --lambda 0.5 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'e0dda3546fbafbf956cc75dfa146b0d3cca378e28d217885d3d246f65355ce96', None),
@@ -90,12 +94,12 @@ DIGESTS = {
     'sample --alpha 1 --theta 1 --lambda 0.5 --n 1000 --seed 7 --format json': (0, 'c1802367a7b276abdf97b38c25b2bdb757db44af16dc9c0feeb28b018857f5d3', None),
     'sample --alpha 1 --theta 1 --lambda 0.5 --n 1 --seed 7 --format csv': (0, 'd243a980521173f8db6889f1b69fc0d90b76b4962af53f5a94be6da60db3e93a', None),
     'sample --alpha 1 --theta 1 --lambda 0.5 --n 1 --seed 7 --format json': (0, '9e9a566471f0ecc42d7bfad41cf230aa390a5e8820cdf5e1267e18aa19f9fc4b', None),
-    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format csv': (0, '9d48fa9403cff05fa181baebab78f08e91d7f4cc0209fe24d1dd79f2863d2e52', None),
-    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format json': (0, '820e9c54a7ed6a4e7a605740a5807229819e974094f20dec5a97218d635be575', None),
-    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
-    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '5f42674da45a9c3808afe1c2571110106898a5290cf8560e83094c03e5710840', None),
-    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '8541ac9a1217e36a700fd321fa2f5f08d8b233b83842c31a0a474c057487da83', None),
-    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '7af60263a603fda84534eaf327e81d490ac823d8aa65cbb74ee94b244656eec2', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format csv': (0, '27e70f62af38a06610eb16986af136b3e261cdca11d949642b5eea79af421fc7', None),
+    'sample --alpha 1 --theta 1 --lambda 0.5 --method compound --n 500 --seed 9 --format json': (0, '9f52387dd19b3439de4f120bcd166eb75b9833f48ce2fa5a6a333ae28764577a', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, '178aa5c9bcd202a8dd86706451107b4ab73b1b0d6738642eb047e31d2cfb4757', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '1a1e0f75e661b66053516ecc36cbc0a08f6def6c2ff519b2b0ec1f090ebfd655', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'bc42614f5d7d5dd312a850a53300260a3f7ad0b62d0761089009900040818a45', None),
+    'simulate --alpha 1 --theta 1 --lambda 0.5 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '042779ad30893abe5107aec213d21922c9b1e070256aaa548577dd6bcd090f2e', None),
     'table --alpha 2 --theta 0.5 --lambda 0.25 --format csv': (0, '594a6a6f187ea49c35931ac2a802981c6cd0f713c7703502b159530078f5b865', None),
     'table --alpha 2 --theta 0.5 --lambda 0.25 --format json': (0, '5b347f11014ef276b433a7a2c0b345cdcc8e72b438a463d82ad9c8f6d29f00e8', None),
     'table --alpha 2 --theta 0.5 --lambda 0.25 --t 2.5 --tail-tol 1e-10 --format csv': (0, '22e3e9ac000d940f4ba9fcc713f309aaac44e65b0273151fb76fdc6987e99ded', None),
@@ -106,12 +110,12 @@ DIGESTS = {
     'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1000 --seed 7 --format json': (0, '468a8cb781ecffda31818af65f459a4476870643244a1653261c6c160a6d31a7', None),
     'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1 --seed 7 --format csv': (0, 'd243a980521173f8db6889f1b69fc0d90b76b4962af53f5a94be6da60db3e93a', None),
     'sample --alpha 2 --theta 0.5 --lambda 0.25 --n 1 --seed 7 --format json': (0, '9e9a566471f0ecc42d7bfad41cf230aa390a5e8820cdf5e1267e18aa19f9fc4b', None),
-    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format csv': (0, '13b485f100ea6f267fc82bac9463828c00166273b176e6e83506126395b5ed45', None),
-    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format json': (0, 'eb38016cda758a78b0ddf687e3d2f34b496d63819c621d2f88f023744179fc30', None),
-    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'd96d2003120e41b93b3865a2a349a9883dd170eebacc5bd1bf2bd373dbd930e7', None),
-    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'e8efa591e71397056ecc6f5c4c3613d866afe16b1a80dbd4e5baa5764822b400', None),
-    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '2ce1f434b993613374c889f032054052875e59b11649106360ab64271e76af3c', None),
-    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '1959d9e5bff04ef2e7e8f0f7c1b6f8d464f8e63e11701a24437e0f123c532e16', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format csv': (0, '001897a6412b1675f2cc5fadbea2d6b4799533fd226a13653f28ba48376fdeab', None),
+    'sample --alpha 2 --theta 0.5 --lambda 0.25 --method compound --n 500 --seed 9 --format json': (0, 'd2c6262f681608b512f981142751cf147156d04cc63bdb7273a09d57b464fd3f', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, '178aa5c9bcd202a8dd86706451107b4ab73b1b0d6738642eb047e31d2cfb4757', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 1 --format json': (0, '86622fdc8e2cc3959f530720552131c7e028c491e388b966a40b49ad33b86841', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '4f1f103b1aaba41a34579f32dd04991bb62e3180d0c87bf79d08a73f46b99870', None),
+    'simulate --alpha 2 --theta 0.5 --lambda 0.25 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '2f39ad6cfa92335881cebf177571ddfc8b3555f43dc0cd1044d08843516628eb', None),
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format csv': (0, '264a89babd6ea16bb4ce0b4612978ed47b32a056fd747d6fca82a258116c0fb5', None),
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --format json': (0, 'e17ecabea524b226561b36f7ae063486e9517cf955cca599a77032669e34e025', None),
     'table --alpha 42.795017938700305 --theta 2 --lambda 0.4996 --t 2.5 --tail-tol 1e-10 --format csv': (0, 'edab6114fb07853e8d72ef77f371a0ab4c43db63a3b38f21bc0091ec7884262e', None),
@@ -138,12 +142,12 @@ DIGESTS = {
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1000 --seed 7 --format json': (0, '1bd586adeee82520b6079c7b16c7fdea1c67ca686063a7bcc929252c1e350dcd', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1 --seed 7 --format csv': (0, '3fb31fded24ce4f32b0a3bbee93ea99ab4df7ca8f15f0ae00cffe9968c68d582', None),
     'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --n 1 --seed 7 --format json': (0, '6ccc97a28beee21e724a649762a39c3c39da7305668a5a1498d8201b58688a1b', None),
-    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format csv': (0, 'ab0d76b977aafb04d1792850be6d78d2cecef04d0597f0a3c6df7912ed80a938', None),
-    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format json': (0, '4f5aa67c4d39de4e3b6247ba08ab913f90e92698ca574190961ebfd674adcc08', None),
-    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'ea9a0e4901ce88d91d5ee0354dc56ff687fafadf2af8684ee85e902e9313ec87', None),
-    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'f3b5f3af8a2e605356cc11a98857514ea72c5c425c3d70c5318c943f95ec3d7a', None),
-    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, '1af0810e68c8b991c3d1b1a9b6f0fad4ad159344fc322d3c442268e2df9b15ad', None),
-    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '0648773b50cce3e924471b59cd8573d8c1509b8a1859d33611c80e89b96fd20f', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format csv': (0, '5a2acf9ebd4d1c391c9bccafa5db62e08cafc731efbd6423594ecd4bf9d1a403', None),
+    'sample --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --method compound --n 500 --seed 9 --format json': (0, '2b81796fd843729ea97204185d006d3d1c1142d7ed99c025182b4b1909074bfd', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format csv': (0, 'dae0faff0e065fd411d1250bd8b70e1a264c5cae3a84232a28f96d691e7cbdd9', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 1 --format json': (0, 'be63e8606e77e2a7d1f2c971de3bb83dec84d3b78cfae2d9e37109d700378a66', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (0, 'f29fedd6a205f27f9741dad908ec8fe14e7f7e8b1c9bbf5339a073ce58306b7e', None),
+    'simulate --alpha 16.915395812433825 --theta 2 --lambda 0.005263157894736842 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (0, '78c624a7ead3174f25bc43d8fd942b17e46435fd6d9a280f6ede3dde009c98ab', None),
     'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format csv': (0, '0afe37a0e55cdaf0664c7623a5bd6ec3dec17076ca6489c759b70a02a20967bc', None),
     'table --alpha 0.7 --theta 0.3 --lambda 0.6 --format json': (0, 'cdb1f229d6a3ad456548688ec576ce32b9efcd9a34b3dbad397b44e496b1b117', None),
     'table --alpha 0.7 --theta 0.3 --lambda 0.6 --t 2.5 --tail-tol 1e-10 --format csv': (0, '5a0b5cc7975bcb8e6ec714d00b15908c8e16b79f0c0ac45f642701af0c6ca93a', None),
@@ -160,8 +164,8 @@ DIGESTS = {
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 1 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format csv': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
     'simulate --alpha 0.7 --theta 0.3 --lambda 0.6 --horizon 0.6 --seed 37 --paths 60 --marginal 0.3 --format json': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'bellproc: error: path simulation requires strict validity'),
-    'verify --seed 12345 --format csv': (0, 'abcd31fb99c68e48deba0eb9bd56cb446e8eb88de3569e8a855fe72ff06fb5af', None),
-    'verify --seed 12345 --format json': (0, '562c5ad13b17a3d4d400c201f323ede54051ef1b7e24463da3bae71769ba6124', None),
+    'verify --seed 12345 --format csv': (0, '58b6ff31254ebc0fef4170c38ca8b5855982a8ed13ea83ff44b3430a0e2986fa', None),
+    'verify --seed 12345 --format json': (0, 'b761aeb17ad7b05255640f853a9be6d7cc02f7902262afbf23a5c813774505aa', None),
 }
 
 
@@ -206,10 +210,11 @@ print(json.dumps({"numpy": np.__version__, "digests": digests}))
 """
 
 
-def test_table_digests_hold_without_avx512():
-    argvs = [argv for argv in ARGVS if argv[0] == "table" and argv[-1] == "csv"]
+def _child_digests(argvs, **env_vars):
+    """Digests of ``argvs`` run in a child under ``env_vars``; a skip where
+    the child cannot start or its numpy is not the pinned one."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argvs)],
@@ -217,10 +222,27 @@ def test_table_digests_hold_without_avx512():
     )
     if child.returncode != 0:
         reason = (child.stderr.strip().splitlines() or ["no message"])[-1]
-        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: {reason}")
+        pytest.skip(f"the child refuses {env_vars!r}: {reason}")
     report = json.loads(child.stdout)
     if report["numpy"] != NUMPY_VERSION:
         pytest.skip(f"the child's numpy is {report['numpy']}, not {NUMPY_VERSION}")
-    observed = {key: tuple(row) for key, row in report["digests"].items()}
+    return {key: tuple(row) for key, row in report["digests"].items()}
+
+
+def test_table_digests_hold_without_avx512():
+    argvs = [argv for argv in ARGVS if argv[0] == "table" and argv[-1] == "csv"]
+    observed = _child_digests(argvs, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    assert len(observed) == 12
+    assert observed == {key: DIGESTS[key] for key in observed}
+
+
+@pytest.mark.parametrize("env_vars", [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_CORETYPE": "Haswell"}])
+def test_compound_digests_hold_under_other_blas_settings(env_vars):
+    argvs = [
+        argv for argv in ARGVS
+        if (argv[0] == "simulate" or "compound" in argv) and argv[-1] == "csv"
+        and DIGESTS[" ".join(argv)][0] == 0
+    ]
+    observed = _child_digests(argvs, **env_vars)
     assert len(observed) == 12
     assert observed == {key: DIGESTS[key] for key in observed}

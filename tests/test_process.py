@@ -454,14 +454,26 @@ def test_ensemble_counts_at_domain():
     assert paths.counts_at(()).shape == (10, 0)
 
 
+class _TiedAfterCounts(bp.RngStream):
+    """A stream whose first draw, a simulation's burst counts, is its own,
+    and whose later uniforms are all 1/2: every epoch of a path ties."""
+
+    def random(self, size=None):
+        if getattr(self, "_counted", False):
+            return np.full(size, 0.5)
+        self._counted = True
+        return super().random(size)
+
+
 def test_ensemble_coalesces_tied_epochs():
-    paths = bp.simulate_paths(P_HALF, 2.0, 200, _TiedUniforms(131))
+    paths = bp.simulate_paths(P_HALF, 2.0, 200, _TiedAfterCounts(131))
     bursts = np.diff(paths.offsets)
     assert bursts.max() <= 1 and bursts.sum() > 0
     assert (paths.times == 1.0).all()
     # every jump is 1 at u = 1/2, so a path's one burst carries its
-    # Poisson count; the same seed's counts come from the same generator
+    # Poisson count, drawn from the stream's own first uniforms
     totals = bp.sample_poisson(1.25 * 2.0, bp.RngStream(131), 200)
+    assert len(np.unique(totals[totals >= 2])) > 1  # distinct counts, each coalesced
     assert paths.counts_at((0.5, 1.0, 2.0)).tolist() == [[0, n, n] for n in totals]
 
 

@@ -2,12 +2,14 @@
 jump subroutines, and cross-validation of the two variate routes."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import bellproc as bp
+from bellproc import sampling
 from bellproc.sampling import _invert
 from bellproc.verify import chisq_pvalue_two_sample, chisq_pvalue_vs_table
 
@@ -79,12 +81,69 @@ def test_poisson_negative_mean_rejected():
     with pytest.raises(bp.ParameterError) as nan_mean:
         bp.sample_poisson(math.nan, bp.RngStream(5))
     assert not isinstance(nan_mean.value, bp.RangeError)
-    # numpy's Generator.poisson takes means up to about 9.2e18
-    limit = 9.223372006484771e18
+    # the stated limit, 2e7, is the largest mean a compound draw asks for;
+    # a refusal draws nothing, and a draw at the limit is prompt
+    limit = 2e7
     for mean in (math.inf, 1e30, np.nextafter(limit, math.inf)):
+        rng = bp.RngStream(5)
         with pytest.raises(bp.RangeError):
-            bp.sample_poisson(mean, bp.RngStream(5), 3)
-    assert bp.sample_poisson(limit, bp.RngStream(5)) > 0
+            bp.sample_poisson(mean, rng, 3)
+        assert rng.random() == bp.RngStream(5).random()
+    start = time.perf_counter()
+    draw = bp.sample_poisson(limit, bp.RngStream(5))
+    assert time.perf_counter() - start < 5.0
+    assert abs(draw - limit) <= 8 * math.sqrt(limit)
+
+
+def _searchsorted_draws(table, rng, size):
+    """Binary-search inversion of one draw of ``size`` uniforms, with the
+    tail-sliver redraw in stream order: the reference for the table route."""
+    out = np.searchsorted(table.cumulative, rng.random(size), side="right")
+    bad = np.flatnonzero(out > table.support_max)
+    while bad.size:
+        out[bad] = np.searchsorted(table.cumulative, rng.random(bad.size), side="right")
+        bad = bad[out[bad] > table.support_max]
+    return out
+
+
+@pytest.mark.parametrize("mean", [0.3, 3.0, 250.0])
+def test_poisson_is_the_binary_search_of_its_table(mean):
+    table = bp.build_pmf_table(bp.validate(mean, 1.0, 1.0))
+    for seed, size in ((1, 100_003), (2, 7)):
+        draws = bp.sample_poisson(mean, bp.RngStream(seed), size)
+        assert (draws == _searchsorted_draws(table, bp.RngStream(seed), size)).all()
+        assert (draws == bp.sample_inverse_cdf(table, bp.RngStream(seed), size)).all()
+
+
+def test_poisson_split_mean_sums_consecutive_parts():
+    # 2,500 > 1,000 is drawn as 4 parts of 625: variate i sums the draws
+    # of uniforms 4i .. 4i + 3
+    table = bp.build_pmf_table(bp.validate(625.0, 1.0, 1.0))
+    parts = _searchsorted_draws(table, bp.RngStream(3), 4 * 20_001)
+    draws = bp.sample_poisson(2500.0, bp.RngStream(3), 20_001)
+    assert (draws == parts.reshape(20_001, 4).sum(axis=1)).all()
+
+
+def _poisson_chisq_p(draws: np.ndarray, mean: float) -> float:
+    """Chi-square p-value of draws against exact Poisson masses from
+    lgamma, both tails merged into bins of at least 5 expected."""
+    n, top = len(draws), int(mean + 12 * math.sqrt(mean) + 30)
+    k = np.arange(top + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+    expected = n * np.exp(k * math.log(mean) - mean - log_fact)
+    expected[-1] = n - expected[:-1].sum()  # the last bin takes every k >= top
+    observed = np.bincount(np.minimum(draws, top), minlength=top + 1).astype(float)
+    lo = int(np.searchsorted(np.cumsum(expected), 5.0))
+    hi = top - int(np.searchsorted(np.cumsum(expected[::-1]), 5.0))
+    obs = np.concatenate(([observed[: lo + 1].sum()], observed[lo + 1 : hi], [observed[hi:].sum()]))
+    exp = np.concatenate(([expected[: lo + 1].sum()], expected[lo + 1 : hi], [expected[hi:].sum()]))
+    return float(stats.chisquare(obs, exp).pvalue)
+
+
+@pytest.mark.parametrize("mean, seed", [(0.5, 61), (3.0, 62), (12.0, 63), (200.0, 64), (12_000.0, 65)])
+def test_poisson_law_chisq(mean, seed):
+    draws = bp.sample_poisson(mean, bp.RngStream(seed), 1_000_000)
+    assert _poisson_chisq_p(draws, mean) > 0.001
 
 
 def test_poisson_empirical_mean():
@@ -320,6 +379,30 @@ def test_scalar_draws_are_size_one_draws():
             draws = [sampler(source, scalar) for _ in range(5)]
             assert all(type(d) is int for d in draws)
             assert draws == [int(sampler(source, batch, 1)[0]) for _ in range(5)]
+
+
+def test_scalar_draw_is_one_public_call(monkeypatch):
+    # a scalar draw goes through the private helpers, so a wrapper on the
+    # module name (as a tracer puts there) sees it once
+    params = bp.validate(1.0, 1.0, 0.25)
+    sources = {
+        "sample_inverse_cdf": bp.build_pmf_table(params),
+        "sample_compound": bp.decompose(params),
+        "sample_jump": bp.decompose(params),
+        "sample_poisson": 2.5,
+    }
+    for name, source in sources.items():
+        calls = []
+        original = getattr(sampling, name)
+
+        def counting(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, name, counting)
+        assert type(counting(source, bp.RngStream(3))) is int
+        assert len(calls) == 1, name
+        monkeypatch.undo()
 
 
 def test_sampler_sizes_must_be_counts():
