@@ -339,21 +339,38 @@ def pmf(k: int, params: DegenParams) -> float:
     return math.ldexp(*_mass(k, params))
 
 
-def _guide_table(cumulative: np.ndarray) -> np.ndarray:
-    """Guide of a nondecreasing cumulative array for indexed search.
+def _guide_table(cumulative: np.ndarray, jumps: bool) -> np.ndarray:
+    """Encoded guide of a nondecreasing cumulative array, one entry per bin.
 
-    guide[g] = #{cumulative <= g/G} for g = 0..G, where the bin count G
-    is the least power of two that is at least 4 * len(cumulative) and
-    at least _GUIDE_MIN_BINS.  As G is a power of two, g/G and
-    cumulative * G are exact, so entry c counts from g = ceil(c * G)
-    on; a bincount of those bins, summed, gives the guide in
+    Bin g of G is [g/G, (g+1)/G), where G is the least power of two that
+    is at least 4 * len(cumulative) and at least _GUIDE_MIN_BINS.  The
+    search result r(u) = #{cumulative <= u} (``np.searchsorted(...,
+    side="right")``) is nondecreasing in u, so on bin g it lies between
+    its values at the two edges.  As G is a power of two, g/G and
+    cumulative * G are exact, so entry c counts from edge ceil(c * G) on;
+    a bincount of those edges, summed, gives r at every edge in
     O(len(cumulative) + G) time (about 1.3 ms for the 53,112 masses of
     (42.795..., 2, 0.4996), whose table takes over 300 ms to build).
-    Read-only; see :func:`bellproc.sampling._invert` for its use.
+
+    guide[g] is the draw that every u in bin g gives where r is the same
+    at both edges: r itself for a table, and for a jump law (``jumps``)
+    the jump size min(r, m - 1) + 1, which folds u past the last entry
+    (fp dust) back onto the largest jump m.  It is -1 where the bin
+    holds a cumulative entry, as there the bin alone does not fix r; and
+    for a table also where r is past the last entry, the uncovered tail
+    sliver, whose u must be redrawn.  So a sampler binary-searches
+    exactly the uniforms whose entry is negative, and finds the redraws
+    among them.  Read-only; see :func:`bellproc.sampling._invert` for
+    its use.
     """
     bins = 1 << max(_GUIDE_MIN_BINS - 1, 4 * len(cumulative) - 1).bit_length()
     first = np.minimum(np.ceil(cumulative * bins), bins + 1).astype(np.intp)
-    return _read_only(np.cumsum(np.bincount(first, minlength=bins + 2)[: bins + 1]))
+    edges = np.cumsum(np.bincount(first, minlength=bins + 2)[: bins + 1], dtype=np.int64)
+    r, last = edges[:-1], len(cumulative) - 1
+    known = r == edges[1:]
+    if jumps:
+        return _read_only(np.where(known, np.minimum(r, last) + 1, -1))
+    return _read_only(np.where(known & (r <= last), r, -1))
 
 
 def _law_masses(masses) -> np.ndarray:
@@ -393,7 +410,7 @@ class PmfTable:
     def guide(self) -> np.ndarray:
         """Guide table over :attr:`cumulative` for batch draws, built on
         the first one (see :func:`_guide_table`); lookups never read it."""
-        return _guide_table(self.cumulative)
+        return _guide_table(self.cumulative, jumps=False)
 
     @property
     def support_max(self) -> int:
@@ -608,7 +625,7 @@ class JumpLaw:
     def guide(self) -> np.ndarray:
         """Guide table over :attr:`cumulative` for jump draws, built on
         the first one (see :func:`_guide_table`)."""
-        return _guide_table(self.cumulative)
+        return _guide_table(self.cumulative, jumps=True)
 
     def prob(self, k: int) -> float:
         if 1 <= k <= self.support_bound:

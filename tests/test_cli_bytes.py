@@ -6,9 +6,10 @@ compared with the table committed here.  ``verify --format json`` is
 hashed without its ``wall_time`` line, the one value that is not
 deterministic.
 
-The digests depend on numpy's ``Generator.random`` stream, so they
-hold for the numpy version stored with them; on another version the
-test is skipped.  A change that alters seeded output on purpose
+The digests depend on numpy's ``SeedSequence``, PCG64's raw words
+(batch draws of 512 or more) and ``Generator.random`` of those words
+(smaller batches and path epochs), so they hold for the numpy version
+stored with them; on another version the test is skipped.  A change that alters seeded output on purpose
 replaces the table with the observed one, which the failure message
 prints in the same layout, and names each changed argv in its change
 notes.

@@ -430,10 +430,15 @@ def test_superpose_of_empty_ensembles():
 
 
 class _TiedUniforms(bp.RngStream):
-    """A stream whose uniforms are all 1/2: every epoch of a path ties."""
+    """A stream whose uniforms are all 1/2: every epoch of a path ties.
+    Its raw words, which the batch draws read, are all 2**63, the word
+    whose uniform is 1/2."""
 
     def random(self, size=None):
         return np.full(size, 0.5)
+
+    def _words(self, size):
+        return np.full(size, 1 << 63, dtype=np.uint64)
 
 
 def test_ensemble_counts_at_matches_count_at_on_every_view():
@@ -454,15 +459,22 @@ def test_ensemble_counts_at_domain():
     assert paths.counts_at(()).shape == (10, 0)
 
 
-class _TiedAfterCounts(bp.RngStream):
+class _TiedAfterCounts(_TiedUniforms):
     """A stream whose first draw, a simulation's burst counts, is its own,
-    and whose later uniforms are all 1/2: every epoch of a path ties."""
+    and whose later uniforms and raw words are all 1/2: every epoch of a
+    path ties."""
 
     def random(self, size=None):
         if getattr(self, "_counted", False):
-            return np.full(size, 0.5)
+            return super().random(size)
         self._counted = True
-        return super().random(size)
+        return bp.RngStream.random(self, size)
+
+    def _words(self, size):
+        if getattr(self, "_counted", False):
+            return super()._words(size)
+        self._counted = True
+        return bp.RngStream._words(self, size)
 
 
 def test_ensemble_coalesces_tied_epochs():

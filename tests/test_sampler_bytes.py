@@ -9,8 +9,10 @@ small, a middle and a split mean.  Each entry is the SHA-256 of the
 int64 bytes of one batch.
 
 As in ``tests/test_cli_bytes.py``, the digests depend on numpy's
-``Generator.random`` stream and hold for the numpy version stored with them;
-on another version the test is skipped.  A change that alters seeded
+``SeedSequence``, PCG64's raw words (batches of 512 draws or more) and
+``Generator.random`` of those words (smaller batches and path epochs),
+and hold for the numpy version stored with them; on another version the
+test is skipped.  A change that alters seeded
 output on purpose replaces the table with the observed one, which the
 failure message prints, and names each changed entry in its change
 notes.

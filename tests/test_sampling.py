@@ -55,6 +55,51 @@ def test_stream_seed_must_be_non_negative():
     assert bp.RngStream(2**64 + 5).random() != bp.RngStream(5).random()
 
 
+def test_uniforms_are_the_raw_words_shifted():
+    # Generator.random makes raw PCG64 word w the uniform (w >> 11) * 2**-53,
+    # and both calls use up the same words: the identity the batch draws
+    # rest on
+    uniforms, words = bp.RngStream(2024), bp.RngStream(2024)
+    for n in (1, 511, 16_385, 1_000_003):
+        raw = words.generator.bit_generator.random_raw(n)
+        assert (uniforms.generator.random(n) == (raw >> np.uint64(11)) * 2.0**-53).all()
+    assert uniforms.random() == words.random()
+    assert uniforms._words(3).tolist() == words._words(3).tolist()
+
+
+class _Recording:
+    """Forwards attribute reads to ``target`` and records their names;
+    its ``bit_generator`` records under that prefix."""
+
+    def __init__(self, target, seen, prefix=""):
+        self._target, self._seen, self._prefix = target, seen, prefix
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        if name == "bit_generator":
+            return _Recording(value, self._seen, "bit_generator.")
+        self._seen.add(self._prefix + name)
+        return value
+
+
+def test_draws_read_only_random_and_raw_words():
+    # seeded output depends on numpy only through SeedSequence, PCG64's raw
+    # words and Generator.random of them
+    params = bp.validate(2.0, 0.5, 0.25)
+    table, law = bp.build_pmf_table(params), bp.decompose(params)
+    seen = set()
+    rng = bp.RngStream(5)
+    rng.generator = _Recording(rng.generator, seen)
+    for size in (None, 7, 511, 512, 20_000):
+        bp.sample_inverse_cdf(table, rng, size)
+        bp.sample_compound(law, rng, size)
+        bp.sample_jump(law, rng, size)
+        bp.sample_poisson(2.5, rng, size)
+        bp.sample_poisson(2500.0, rng, size)  # 4 parts of 625
+    bp.simulate_paths(params, 2.0, 3000, rng)
+    assert seen == {"random", "bit_generator.random_raw"}
+
+
 def test_stream_splits_statistically_independent():
     n = 200_000
     a = bp.RngStream(7).split(0).random(n)
@@ -113,6 +158,37 @@ def test_poisson_is_the_binary_search_of_its_table(mean):
         draws = bp.sample_poisson(mean, bp.RngStream(seed), size)
         assert (draws == _searchsorted_draws(table, bp.RngStream(seed), size)).all()
         assert (draws == bp.sample_inverse_cdf(table, bp.RngStream(seed), size)).all()
+
+
+def test_uncapped_samplers_refuse_uniforms_past_the_budget():
+    # more than 2e7 uniforms in one call are refused before anything is
+    # drawn or allocated; a Poisson variate takes one uniform per part
+    params = bp.validate(1.0, 1.0, 0.5)
+    table, law = bp.build_pmf_table(params), bp.decompose(params)
+    draws = [
+        lambda rng: bp.sample_inverse_cdf(table, rng, 10**13),
+        lambda rng: bp.sample_jump(law, rng, 10**13),
+        lambda rng: bp.sample_poisson(1.0, rng, 10**13),
+        lambda rng: bp.sample_poisson(0.0, rng, 10**13),
+        lambda rng: bp.sample_poisson(2e7, rng, 10**8),  # 32,768 parts each
+        lambda rng: bp.sample_poisson(2000.0, rng, 10_000_001),  # 2 parts each
+    ]
+    for draw in draws:
+        rng = bp.RngStream(7)
+        with pytest.raises(bp.ParameterError, match="budget"):
+            draw(rng)
+        assert rng._words(1) == bp.RngStream(7)._words(1)
+
+
+def test_compound_draws_jumps_past_the_budget_in_pieces(monkeypatch):
+    # a chunk whose expected jumps sit at the budget may draw more; it
+    # draws them in calls within the budget, from the same stream
+    law = bp.JumpLaw(burst_rate=40.0, jump_probs=np.array([0.5, 0.25, 0.25]))
+    seeds = range(40)
+    expected = [bp.sample_compound(law, bp.RngStream(s), 1) for s in seeds]
+    assert sum(bp.sample_poisson(40.0, bp.RngStream(s)) > 40 for s in seeds) >= 5
+    monkeypatch.setattr(sampling, "_JUMP_BUDGET", 40)
+    assert [bp.sample_compound(law, bp.RngStream(s), 1) for s in seeds] == expected
 
 
 def test_poisson_split_mean_sums_consecutive_parts():
@@ -204,38 +280,96 @@ SEARCH_LAWS = [
 ]
 
 
-def _adversarial_uniforms(cum: np.ndarray, bins: int) -> np.ndarray:
-    """Uniforms in [0, 1) on and next to every cumulative entry and bin
-    edge, at both ends of the range, past the last entry, and at random."""
-    edges = np.arange(bins + 1) / bins
-    past = cum[-1] + (1.0 - cum[-1]) * np.array([0.0, 0.5])
-    u = np.concatenate(
-        [
-            cum,
-            np.nextafter(cum, -np.inf),
-            np.nextafter(cum, np.inf),
-            edges,
-            np.nextafter(edges, -np.inf),
-            [0.0, 1.0 - 2.0**-53],
-            past,
-            np.random.default_rng(0).random(200_000),
-        ]
-    )
-    return u[(u >= 0.0) & (u < 1.0)]
+# hand-built laws with masses short of 1: half the table draws fall in
+# the tail sliver and are redrawn, and over half the jump draws fold
+# back, some of them from the bin that holds the last entry
+HALF_TABLE = bp.PmfTable(bp.validate(1.0, 1.0, 0.5), np.array([0.125, 0.25, 0.0, 0.125]), 0.5)
+SHORT_JUMPS = bp.JumpLaw(burst_rate=1.0, jump_probs=np.array([0.25, 0.0, 0.125, 0.1]))
 
 
-@pytest.mark.parametrize("triple", SEARCH_LAWS)
-def test_indexed_search_is_the_binary_search(triple):
+def _search_sources(triple):
     params = bp.validate(*triple)
     sources = [bp.build_pmf_table(params)]
     if params.validity is bp.Validity.STRICT:
         sources.append(bp.decompose(params))
-    for source in sources:
+    return sources
+
+
+def _drawn(source, u):
+    """The draw of uniforms ``u`` by binary search: the table's search
+    result, or the jump size with u past the last entry folded back."""
+    r = np.searchsorted(source.cumulative, u, side="right")
+    return np.minimum(r, len(source.cumulative) - 1) + 1 if isinstance(source, bp.JumpLaw) else r
+
+
+def _adversarial_words(cum: np.ndarray, bins: int) -> np.ndarray:
+    """Raw words whose uniforms sit on and next to every cumulative entry
+    and bin edge on the 2**-53 grid of ``Generator.random``, at both ends
+    of the range and past the last entry, each with its low 11 bits (which
+    the uniform drops) all clear and all set; and 200,000 at random."""
+    past = cum[-1] + (1.0 - cum[-1]) * np.array([0.0, 0.5])
+    grid = np.floor(np.concatenate([cum, np.arange(bins + 1) / bins, [0.0, 1.0], past]) * 2.0**53)
+    k = np.concatenate([grid - 1, grid, grid + 1])
+    k = k[(k >= 0) & (k < 2.0**53)].astype(np.uint64) << np.uint64(11)
+    noise = np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64)
+    return np.concatenate([k, k | np.uint64(0x7FF), noise])
+
+
+@pytest.mark.parametrize("triple", SEARCH_LAWS)
+def test_indexed_search_is_the_binary_search(triple):
+    for source in _search_sources(triple) + [HALF_TABLE, SHORT_JUMPS]:
         cum, guide = source.cumulative, source.guide
-        bins = len(guide) - 1
-        assert bins & (bins - 1) == 0 and bins >= 4 * len(cum)
-        u = _adversarial_uniforms(cum, bins)
-        assert (_invert(guide, cum, u) == np.searchsorted(cum, u, side="right")).all()
+        bins = len(guide)
+        assert bins & (bins - 1) == 0 and bins >= max(1024, 4 * len(cum))
+        words = _adversarial_words(cum, bins)
+        out = np.empty(len(words), dtype=np.int64)
+        searched = _invert(guide, cum, words, out)
+        # only the words of a -1 bin are searched, and they hold the search
+        shift = np.uint64(64 - (bins.bit_length() - 1))
+        assert (searched == np.flatnonzero(guide[(words >> shift).astype(np.intp)] < 0)).all()
+        u = (words >> np.uint64(11)) * 2.0**-53
+        r = np.searchsorted(cum, u, side="right")
+        assert (out[searched] == r[searched]).all()
+        out[searched] = _drawn(source, u[searched])
+        assert (out == _drawn(source, u)).all()
+
+
+@pytest.mark.parametrize("triple", SEARCH_LAWS)
+def test_guide_marks_entry_and_sliver_bins(triple):
+    # -1 exactly where the bin's range (g/G, (g+1)/G] holds a cumulative
+    # entry or, for a table, where the search lands past the support;
+    # elsewhere the draw itself
+    for source in _search_sources(triple) + [HALF_TABLE, SHORT_JUMPS]:
+        cum, guide = source.cumulative, source.guide
+        r = np.searchsorted(cum, np.arange(len(guide) + 1) / len(guide), side="right")
+        marked = r[:-1] != r[1:]
+        if isinstance(source, bp.PmfTable):
+            marked |= r[:-1] > source.support_max
+        assert ((guide < 0) == marked).all()
+        assert (guide[~marked] == _drawn(source, np.arange(len(guide))[~marked] / len(guide))).all()
+    assert (HALF_TABLE.guide[len(HALF_TABLE.guide) // 2 :] == -1).all()
+    assert (SHORT_JUMPS.guide[len(SHORT_JUMPS.guide) // 2 + 1 :] == 4).all()
+
+
+ROUTE_SIZES = (1, 511, 512, 16_383, 16_384, 16_385, 100_003)
+
+
+@pytest.mark.parametrize("triple", SEARCH_LAWS[:5] + [None])
+def test_routes_are_the_binary_search_of_one_stream(triple):
+    # batches on both sides of the plain-search threshold and of a chunk,
+    # drawn in turn from one stream, against np.searchsorted of
+    # Generator.random over a second stream of the same seed
+    sources = [HALF_TABLE, SHORT_JUMPS] if triple is None else _search_sources(triple)
+    for source in sources:
+        rng, ref = bp.RngStream(71), bp.RngStream(71)
+        for size in ROUTE_SIZES:
+            if isinstance(source, bp.PmfTable):
+                got = bp.sample_inverse_cdf(source, rng, size)
+                want = _searchsorted_draws(source, ref, size)
+            else:
+                got, want = bp.sample_jump(source, rng, size), _drawn(source, ref.random(size))
+            assert got.dtype == np.int64 and (got == want).all(), size
+        assert rng.random() == ref.random()
 
 
 def test_draws_refuse_masses_that_are_not_a_law():
